@@ -154,7 +154,6 @@ void BM_MapNetwork(benchmark::State& state) {
   }();
   core::Options options;
   options.k = k;
-  options.jobs = 1;
   for (auto _ : state) {
     const core::MapResult result = core::map_network(design->network, options);
     benchmark::DoNotOptimize(result.stats.num_luts);

@@ -25,7 +25,11 @@
 //   ext_serve [clients] [requests-per-client] [workers] [k]
 //             [--idle-conns N] [--json-out PATH] [--check BASELINE]
 //             [--tolerance X] [--stats-out PATH]
-//             [--server-stats-out PATH]
+//             [--server-stats-out PATH] [-h | --help]
+//
+// Each positional must be a positive integer; anything else (a typo,
+// an unknown flag) prints usage and exits 2. --help prints usage and
+// exits 0.
 //
 // Defaults: 4 clients x 8 requests, 4 workers, k = 4, idle-conns =
 // workers + 4. --json-out writes the chortle-serve-bench/1 document
@@ -58,8 +62,11 @@
 // requests, an event loop racing workers, no reports.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -229,6 +236,25 @@ double number_in(const obs::Json& doc, const char* phase, const char* leaf,
   return value != nullptr && value->is_number() ? value->as_number() : 0.0;
 }
 
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: ext_serve [clients] [requests-per-client] "
+               "[workers] [k] [--idle-conns N] [--json-out PATH] "
+               "[--check BASELINE] [--tolerance X] [--stats-out PATH] "
+               "[--server-stats-out PATH] [-h | --help]\n");
+}
+
+/// The whole of `text` as a positive int, or 0 when it is not one.
+int parse_positive(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value <= 0 ||
+      value > INT_MAX)
+    return 0;
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,14 +281,13 @@ int main(int argc, char** argv) {
       tolerance = std::atof(argv[++i]);
     } else if (arg == "--idle-conns" && has_value) {
       idle_conns = std::atoi(argv[++i]);
-    } else if (npos < 4) {
-      positional[npos++] = std::atoi(arg.c_str());
+    } else if (arg == "-h" || arg == "--help") {
+      usage(stdout);
+      return 0;
+    } else if (const int value = parse_positive(arg); npos < 4 && value > 0) {
+      positional[npos++] = value;
     } else {
-      std::fprintf(stderr,
-                   "usage: ext_serve [clients] [requests-per-client] "
-                   "[workers] [k] [--idle-conns N] [--json-out PATH] "
-                   "[--check BASELINE] [--tolerance X] [--stats-out PATH] "
-                   "[--server-stats-out PATH]\n");
+      usage(stderr);
       return 2;
     }
   }

@@ -2,30 +2,28 @@
 // benchmark through the optimization script once, then times
 // core::map_network alone (no baseline mapper, no verification — those
 // dominate the table benches and would bury the mapper signal) for
-// K = kmin..kmax in four modes:
+// K = kmin..kmax in three modes:
 //
-//   serial       --jobs 1, no DP cache (the paper's configuration)
-//   jobs         --jobs N (parallel tree solving)
-//   cache_cold   --jobs 1 with a fresh cross-request DP cache
-//   cache_warm   --jobs 1 re-mapping through the now-populated cache
+//   serial       no DP cache (the paper's configuration)
+//   cache_cold   a fresh cross-request DP cache
+//   cache_warm   re-mapping through the now-populated cache
 //
 // Every mode must produce byte-identical BLIF; the driver fails loudly
 // if any mode disagrees with the serial mapping. Results are written as
-// BENCH_chortle.json (schema chortle-bench/1) so each PR has a measured
-// runtime trajectory to compare against; see DESIGN.md "Performance
-// model" for how to read the file.
+// BENCH_chortle.json (schema chortle-bench/2; /1 also had a "jobs" mode)
+// so each change has a measured runtime trajectory to compare against;
+// see DESIGN.md "Performance model" for how to read the file.
 //
 // Flags:
 //   --out PATH         JSON output path (default BENCH_chortle.json)
 //   --mapper NAME      registry backend to time (default chortle). Any
 //                      other registered mapper — flowmap, cutmap,
 //                      libmap, portfolio — runs in serial mode only
-//                      (the jobs/cache modes are chortle's seams); the
+//                      (the cache modes are chortle's seam); the
 //                      default keeps the historical output and the
 //                      committed baselines byte-identical.
 //   --benchmarks CSV   subset of benchmark names (default: all twelve)
 //   --kmin N --kmax N  K range (default 2..6)
-//   --jobs N           worker threads for the "jobs" mode (default 4)
 //   --repeat R         timing repetitions, minimum is reported (default 3)
 //   --label STR        free-form label recorded in the JSON
 //   --golden-out PATH  also write tests/golden-style TSV rows
@@ -34,8 +32,9 @@
 //                      exact LUT-count match, and total wall time per
 //                      mode within --tolerance (default 0.15) when the
 //                      baseline total is at least --min-seconds
-//                      (default 0.005). Exits 3 on a perf regression,
-//                      1 on any LUT/BLIF mismatch.
+//                      (default 0.005). Reads /1 and /2 baselines (rows
+//                      are matched by field name). Exits 3 on a perf
+//                      regression, 1 on any LUT/BLIF mismatch.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,7 +64,6 @@ struct Flags {
   std::vector<std::string> benchmarks;
   int kmin = 2;
   int kmax = 6;
-  int jobs = 4;
   int repeat = 3;
   std::string label;
   std::string golden_out;
@@ -99,8 +97,6 @@ Flags parse_flags(int argc, char** argv) {
       flags.kmin = std::atoi(argv[++i]);
     } else if (arg == "--kmax" && need_value(i)) {
       flags.kmax = std::atoi(argv[++i]);
-    } else if (arg == "--jobs" && need_value(i)) {
-      flags.jobs = std::atoi(argv[++i]);
     } else if (arg == "--repeat" && need_value(i)) {
       flags.repeat = std::atoi(argv[++i]);
     } else if (arg == "--label" && need_value(i)) {
@@ -117,7 +113,7 @@ Flags parse_flags(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: run_tables [--out FILE] [--mapper NAME]\n"
                    "                  [--benchmarks a,b,c]\n"
-                   "                  [--kmin N] [--kmax N] [--jobs N]\n"
+                   "                  [--kmin N] [--kmax N]\n"
                    "                  [--repeat R] [--label STR]\n"
                    "                  [--golden-out FILE]\n"
                    "                  [--check FILE] [--tolerance F]\n"
@@ -127,7 +123,7 @@ Flags parse_flags(int argc, char** argv) {
     }
   }
   if (flags.kmin < 2 || flags.kmax > 6 || flags.kmin > flags.kmax ||
-      flags.jobs < 1 || flags.repeat < 1) {
+      flags.repeat < 1) {
     std::fprintf(stderr, "run_tables: bad flag values\n");
     flags.bad = true;
   }
@@ -141,7 +137,6 @@ struct Row {
   int depth = 0;
   std::string blif_hash;  // fnv1a64 of the serial BLIF, hex
   double seconds_serial = 0.0;
-  double seconds_jobs = 0.0;
   double seconds_cache_cold = 0.0;
   double seconds_cache_warm = 0.0;
 };
@@ -197,10 +192,8 @@ int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
     double current = 0.0;
     double base = 0.0;
   };
-  ModeTotal totals[] = {{"seconds_serial"},
-                        {"seconds_jobs"},
-                        {"seconds_cache_cold"},
-                        {"seconds_cache_warm"}};
+  ModeTotal totals[] = {
+      {"seconds_serial"}, {"seconds_cache_cold"}, {"seconds_cache_warm"}};
   int compared = 0;
   for (const Row& row : rows) {
     const auto it = base_by_key.find({row.name, row.k});
@@ -227,9 +220,9 @@ int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
                    static_cast<long long>(depth->as_int()), row.depth);
       ++mismatches;
     }
-    const double current[] = {row.seconds_serial, row.seconds_jobs,
-                              row.seconds_cache_cold, row.seconds_cache_warm};
-    for (int m = 0; m < 4; ++m) {
+    const double current[] = {row.seconds_serial, row.seconds_cache_cold,
+                              row.seconds_cache_warm};
+    for (int m = 0; m < 3; ++m) {
       totals[m].current += current[m];
       if (const obs::Json* v = base_row.find(totals[m].field);
           v != nullptr)
@@ -263,9 +256,8 @@ int run(const Flags& flags) {
   if (names.empty()) names = mcnc::benchmark_names();
 
   // Any backend other than chortle is timed through the registry in
-  // serial mode only: the jobs/cache columns exercise chortle-specific
-  // seams (tree-level parallelism, the cross-request DP cache) that the
-  // other mappers do not share.
+  // serial mode only: the cache columns exercise a chortle-specific seam
+  // (the cross-request DP cache) that the other mappers do not share.
   const core::IMapper* backend = nullptr;
   if (flags.mapper != "chortle") {
     portfolio::ensure_registered();
@@ -291,7 +283,6 @@ int run(const Flags& flags) {
         if (k < backend->min_k() || k > backend->max_k()) continue;
         core::Options options;
         options.k = k;
-        options.jobs = 1;
         std::string blif;
         row.seconds_serial = time_mapping(
             flags.repeat,
@@ -307,21 +298,12 @@ int run(const Flags& flags) {
 
       core::Options serial;
       serial.k = k;
-      serial.jobs = 1;
       std::string serial_blif;
       row.seconds_serial = time_mapping(
           flags.repeat,
           [&] { return core::map_network(design.network, serial); },
           &serial_blif, &row.luts, &row.depth);
       row.blif_hash = base::fnv1a64_hex(serial_blif);
-
-      core::Options parallel = serial;
-      parallel.jobs = flags.jobs;
-      std::string jobs_blif;
-      row.seconds_jobs = time_mapping(
-          flags.repeat,
-          [&] { return core::map_network(design.network, parallel); },
-          &jobs_blif, nullptr);
 
       core::DpCache cache;
       std::string cold_blif;
@@ -335,8 +317,8 @@ int run(const Flags& flags) {
           &warm_blif, nullptr);
 
       for (const auto& [mode, blif] :
-           {std::pair<const char*, const std::string*>{"jobs", &jobs_blif},
-            {"cache_cold", &cold_blif},
+           {std::pair<const char*, const std::string*>{"cache_cold",
+                                                       &cold_blif},
             {"cache_warm", &warm_blif}}) {
         if (*blif != serial_blif) {
           std::fprintf(stderr,
@@ -347,27 +329,25 @@ int run(const Flags& flags) {
       }
 
       std::printf(
-          "%-8s K=%d  luts %5d  depth %3d  serial %8.4fs  jobs%-2d %8.4fs  "
-          "cold %8.4fs  warm %8.4fs\n",
+          "%-8s K=%d  luts %5d  depth %3d  serial %8.4fs  cold %8.4fs  "
+          "warm %8.4fs\n",
           name.c_str(), k, row.luts, row.depth, row.seconds_serial,
-          flags.jobs, row.seconds_jobs, row.seconds_cache_cold,
-          row.seconds_cache_warm);
+          row.seconds_cache_cold, row.seconds_cache_warm);
       rows.push_back(std::move(row));
     }
   }
 
   obs::Json doc = obs::Json::object();
-  doc.set("schema", "chortle-bench/1");
+  doc.set("schema", "chortle-bench/2");
   // Only recorded off the default so historical chortle baselines stay
   // byte-identical.
   if (flags.mapper != "chortle") doc.set("mapper", flags.mapper);
   if (!flags.label.empty()) doc.set("label", flags.label);
   doc.set("kmin", flags.kmin);
   doc.set("kmax", flags.kmax);
-  doc.set("jobs", flags.jobs);
   doc.set("repeat", flags.repeat);
   obs::Json bench_rows = obs::Json::array();
-  double total[4] = {0, 0, 0, 0};
+  double total[3] = {0, 0, 0};
   long total_luts = 0;
   for (const Row& row : rows) {
     obs::Json entry = obs::Json::object();
@@ -377,14 +357,12 @@ int run(const Flags& flags) {
     entry.set("depth", row.depth);
     entry.set("blif_fnv1a64", row.blif_hash);
     entry.set("seconds_serial", row.seconds_serial);
-    entry.set("seconds_jobs", row.seconds_jobs);
     entry.set("seconds_cache_cold", row.seconds_cache_cold);
     entry.set("seconds_cache_warm", row.seconds_cache_warm);
     bench_rows.push_back(std::move(entry));
     total[0] += row.seconds_serial;
-    total[1] += row.seconds_jobs;
-    total[2] += row.seconds_cache_cold;
-    total[3] += row.seconds_cache_warm;
+    total[1] += row.seconds_cache_cold;
+    total[2] += row.seconds_cache_warm;
     total_luts += row.luts;
   }
   doc.set("benchmarks", std::move(bench_rows));
@@ -392,9 +370,8 @@ int run(const Flags& flags) {
   totals.set("rows", static_cast<int>(rows.size()));
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("seconds_serial", total[0]);
-  totals.set("seconds_jobs", total[1]);
-  totals.set("seconds_cache_cold", total[2]);
-  totals.set("seconds_cache_warm", total[3]);
+  totals.set("seconds_cache_cold", total[1]);
+  totals.set("seconds_cache_warm", total[2]);
   doc.set("totals", std::move(totals));
 
   {
@@ -407,9 +384,8 @@ int run(const Flags& flags) {
     doc.dump(out, 2);
     out << "\n";
   }
-  std::printf("total: serial %.4fs  jobs %.4fs  cold %.4fs  warm %.4fs  "
-              "-> %s\n",
-              total[0], total[1], total[2], total[3], flags.out.c_str());
+  std::printf("total: serial %.4fs  cold %.4fs  warm %.4fs  -> %s\n",
+              total[0], total[1], total[2], flags.out.c_str());
 
   if (!flags.golden_out.empty()) {
     std::ofstream out(flags.golden_out);

@@ -1,11 +1,9 @@
 #include "table_common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "base/thread_pool.hpp"
 #include "base/timer.hpp"
 #include "chortle/mapper.hpp"
 #include "libmap/library.hpp"
@@ -23,7 +21,6 @@ namespace {
 struct TableFlags {
   std::string stats_out;
   std::string trace_out;
-  int jobs = 0;  // 0 = auto (CHORTLE_JOBS, else 1)
   bool bad = false;
 };
 
@@ -35,20 +32,9 @@ TableFlags parse_flags(int argc, char** argv) {
       flags.stats_out = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
       flags.trace_out = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      const long parsed = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || parsed < 0 || parsed > 512) {
-        std::fprintf(stderr, "--jobs expects an integer in [0, 512]\n");
-        flags.bad = true;
-        return flags;
-      }
-      flags.jobs = static_cast<int>(parsed);
     } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--stats-out FILE] [--trace-out FILE] [--jobs N]\n",
-          argc > 0 ? argv[0] : "table");
+      std::fprintf(stderr, "usage: %s [--stats-out FILE] [--trace-out FILE]\n",
+                   argc > 0 ? argv[0] : "table");
       flags.bad = true;
       return flags;
     }
@@ -77,11 +63,9 @@ int run_table(int k, const char* table_name, int argc, char** argv) {
 
   core::Options options;
   options.k = k;
-  options.jobs = flags.jobs;
   report.set_option("split_threshold", options.split_threshold);
   report.set_option("duplicate_fanout_logic",
                     options.duplicate_fanout_logic);
-  report.set_option("jobs", base::resolve_jobs(options.jobs));
 
   const libmap::Library library = [&] {
     ScopedTimer timer(obs::phase_sink(report, "library"));

@@ -7,9 +7,6 @@
 // Observability flags (also see DESIGN.md §8):
 //   --stats-out PATH   write a chortle-run-report/1 JSON document
 //   --trace-out PATH   enable tracing, write Chrome trace-event JSON
-//   --jobs N           worker threads for the parallel tree-solving
-//                      phase (0 = auto: CHORTLE_JOBS, else 1); results
-//                      are byte-identical for every N
 // Setting CHORTLE_TRACE=PATH in the environment is equivalent to
 // --trace-out PATH (the flag wins when both are present).
 #pragma once

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "base/check.hpp"
-#include "base/logging.hpp"
 
 namespace chortle::base {
 
@@ -32,13 +29,12 @@ struct ThreadPool::Impl {
   // touches sleep_mu before notifying).
   std::atomic<std::size_t> available{0};
   std::atomic<bool> stop{false};
-  // Round-robin cursors for task placement and external stealing.
+  // Round-robin cursor for task placement.
   std::atomic<std::size_t> next_queue{0};
-  std::atomic<std::size_t> next_steal{0};
 
-  /// Pops a task: front of the home deque first (LIFO warmth does not
-  /// matter here; FIFO keeps largest-first dispatch meaningful), then
-  /// the back of each sibling's in turn.
+  /// Pops a task: front of the home deque first (FIFO, so tasks start
+  /// roughly in submission order), then the back of each sibling's in
+  /// turn.
   std::function<void()> take(std::size_t home) {
     const std::size_t n = queues.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -99,8 +95,6 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-int ThreadPool::size() const { return static_cast<int>(impl_->workers.size()); }
-
 void ThreadPool::submit(std::function<void()> task) {
   CHORTLE_CHECK(task != nullptr);
   const std::size_t home =
@@ -118,91 +112,6 @@ void ThreadPool::submit(std::function<void()> task) {
     const std::lock_guard<std::mutex> lock(impl_->sleep_mu);
   }
   impl_->work_cv.notify_one();
-}
-
-bool ThreadPool::try_run_one() {
-  const std::size_t home =
-      impl_->next_steal.fetch_add(1, std::memory_order_relaxed) %
-      impl_->queues.size();
-  if (std::function<void()> task = impl_->take(home)) {
-    task();
-    return true;
-  }
-  return false;
-}
-
-int resolve_jobs(int requested) {
-  int jobs = requested;
-  if (jobs <= 0) {
-    jobs = 1;
-    if (const char* env = std::getenv("CHORTLE_JOBS")) {
-      errno = 0;
-      char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end == env || *end != '\0' || errno == ERANGE || parsed <= 0) {
-        // Silent fallback here cost real debugging time: a typo like
-        // "4x" ran everything single-threaded with no hint why.
-        LOG_WARN << "CHORTLE_JOBS=\"" << env
-                 << "\" is not a positive integer; ignoring it and "
-                    "using 1 job";
-      } else if (parsed > 512) {
-        LOG_WARN << "CHORTLE_JOBS=\"" << env << "\" clamped to 512";
-        jobs = 512;
-      } else {
-        jobs = static_cast<int>(parsed);
-      }
-    }
-  }
-  return std::clamp(jobs, 1, 512);
-}
-
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || n == 1) {
-    std::exception_ptr first;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (first == nullptr) first = std::current_exception();
-      }
-    }
-    if (first != nullptr) std::rethrow_exception(first);
-    return;
-  }
-
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  };
-  Latch latch{{}, {}, n};
-  std::vector<std::exception_ptr> errors(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool->submit([&latch, &errors, &fn, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      const std::lock_guard<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-  }
-  // Help run queued tasks until the deques look empty, then sleep until
-  // the last in-flight task completes. Workers drain anything queued
-  // after the caller goes to sleep, so this cannot deadlock.
-  while (pool->try_run_one()) {
-  }
-  std::unique_lock<std::mutex> lock(latch.mu);
-  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  lock.unlock();
-
-  // Every index ran; surface the lowest-index failure (the same one the
-  // sequential path would have chosen), so behaviour is jobs-invariant.
-  for (std::exception_ptr& error : errors)
-    if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace chortle::base

@@ -1,23 +1,20 @@
-// A small work-stealing thread pool for the mapping pipeline's
-// embarrassingly parallel phases (one DP per fanout-free tree).
+// A small work-stealing thread pool. The portfolio mapper races its
+// strategies on one (src/portfolio); a single map_network call runs on
+// its caller's thread.
 //
 // Design: every worker owns a deque of tasks guarded by its own mutex.
 // submit() distributes tasks round-robin across the deques; a worker
 // pops from the front of its own deque and, when that runs dry, steals
 // from the back of a sibling's. Mutex-per-deque (rather than a lock-free
 // Chase-Lev deque) keeps the implementation small and ThreadSanitizer-
-// obviously correct; the tasks dispatched here (whole-tree dynamic
-// programs) are long compared to a lock acquisition, so queue overhead
-// is noise.
+// obviously correct; the tasks dispatched here (whole mapping runs)
+// are long compared to a lock acquisition, so queue overhead is noise.
 //
-// Determinism contract: the pool never promises a completion order.
-// Callers that need deterministic output must split work into a
-// parallel compute phase (order-independent) and a sequential commit
-// phase, as map_network does (DESIGN.md "Concurrency model").
+// The pool never promises a completion order (DESIGN.md "Concurrency
+// model").
 #pragma once
 
 #include <deque>
-#include <exception>
 #include <functional>
 #include <vector>
 
@@ -32,35 +29,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const;
-
   /// Enqueues one task. Tasks may submit further tasks. A task must not
-  /// throw — wrap the body and capture the exception (parallel_for does
-  /// this for its callers).
+  /// throw — wrap the body and capture the exception.
   void submit(std::function<void()> task);
-
-  /// Runs one queued task on the calling thread if any is available.
-  /// Lets a thread blocked on a completion latch help instead of idling
-  /// (essential when the pool is saturated or has one worker).
-  bool try_run_one();
 
  private:
   struct Impl;
   Impl* impl_;
 };
-
-/// Resolves a requested job count to the worker count actually used:
-/// a positive request wins; 0 means "auto" — the CHORTLE_JOBS
-/// environment variable when it parses as a positive integer, else 1.
-/// The result is clamped to [1, 512].
-int resolve_jobs(int requested);
-
-/// Runs fn(0) .. fn(n-1) across the pool and blocks until all complete.
-/// The calling thread helps execute tasks while it waits. With a null
-/// pool (or n <= 1) the indices run sequentially on the caller — the
-/// exception behaviour is identical either way: every index runs, and
-/// the lowest-index exception is rethrown after the last one finishes.
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace chortle::base

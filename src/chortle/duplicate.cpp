@@ -1,11 +1,9 @@
 #include "chortle/duplicate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <numeric>
 
-#include "base/thread_pool.hpp"
 #include "chortle/tree_mapper.hpp"
 #include "chortle/work_tree.hpp"
 #include "obs/metrics.hpp"
@@ -39,8 +37,7 @@ std::vector<net::NodeId> consumer_roots(const net::Network& network,
 }  // namespace
 
 Forest duplicate_fanout_logic(const net::Network& network, Forest forest,
-                              const Options& options, DuplicationStats* stats,
-                              base::ThreadPool* pool) {
+                              const Options& options, DuplicationStats* stats) {
   OBS_SPAN_ARG("chortle.duplicate", network.num_nodes());
   DuplicationStats local;
   std::vector<bool> read_by_output(
@@ -88,24 +85,18 @@ Forest duplicate_fanout_logic(const net::Network& network, Forest forest,
       int before = tree_cost(r);
       for (net::NodeId c : consumers) before += tree_cost(c);
 
-      // Tentatively inline r into its readers. The per-reader trial
-      // mappings are independent, so they fan out across the pool; the
-      // verdict is the same as the sequential scan's (infeasibility and
-      // the cost sum are both order-independent).
+      // Tentatively inline r into its readers and re-map each of them.
       std::vector<bool> trial = forest.is_root;
       trial[static_cast<std::size_t>(r)] = false;
-      std::vector<int> trial_costs(consumers.size(), kInfCost);
-      std::atomic<bool> feasible{true};
-      base::parallel_for(pool, consumers.size(), [&](std::size_t i) {
-        const WorkTree work =
-            build_work_tree(network, trial, consumers[i], options);
-        if (work.size() > 4 * options.duplication_max_gates) {
-          feasible.store(false, std::memory_order_relaxed);
-          return;  // keep evaluation bounded
-        }
-        trial_costs[i] = TreeMapper(work, options).best_cost();
-      });
-      if (!feasible.load(std::memory_order_relaxed)) continue;
+      std::vector<int> trial_costs;
+      trial_costs.reserve(consumers.size());
+      for (net::NodeId c : consumers) {
+        WorkTree work = build_work_tree(network, trial, c, options);
+        if (work.size() > 4 * options.duplication_max_gates)
+          break;  // keep evaluation bounded
+        trial_costs.push_back(TreeMapper(std::move(work), options).best_cost());
+      }
+      if (trial_costs.size() < consumers.size()) continue;  // infeasible
       const long long after =
           std::accumulate(trial_costs.begin(), trial_costs.end(), 0LL);
       if (after >= before) continue;

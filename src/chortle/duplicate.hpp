@@ -17,10 +17,6 @@
 #include "chortle/options.hpp"
 #include "network/network.hpp"
 
-namespace chortle::base {
-class ThreadPool;
-}
-
 namespace chortle::core {
 
 struct DuplicationStats {
@@ -36,15 +32,8 @@ struct DuplicationStats {
 /// Returns the modified forest; `network` is not changed (duplication
 /// only re-partitions the cover, the emitted circuit materializes the
 /// copies).
-///
-/// `pool` (optional) parallelizes the independent trial mappings of a
-/// candidate's readers; the accept/reject decisions — and therefore the
-/// resulting forest — are identical with any pool size, because the
-/// greedy scan itself stays sequential and a trial's verdict depends
-/// only on the summed costs.
 Forest duplicate_fanout_logic(const net::Network& network, Forest forest,
                               const Options& options,
-                              DuplicationStats* stats = nullptr,
-                              base::ThreadPool* pool = nullptr);
+                              DuplicationStats* stats = nullptr);
 
 }  // namespace chortle::core

@@ -32,12 +32,10 @@ struct Options {
   /// paper's claim that considering all decompositions reduces area.
   bool search_decompositions = true;
 
-  /// Worker threads for the parallel tree-solving phase (and the
-  /// duplication pass's trial mappings). 0 means "auto": honor the
-  /// CHORTLE_JOBS environment variable, defaulting to 1. The mapping is
-  /// byte-identical for every value — trees are solved concurrently but
-  /// LUTs are emitted sequentially in forest order (DESIGN.md
-  /// "Concurrency model").
+  /// Has no effect: map_network maps one tree at a time on the
+  /// caller's thread (DESIGN.md "Concurrency model"). Kept so existing
+  /// callers that assign it still compile; validate() accepts only 0
+  /// and 1, so a request for parallelism is refused, not dropped.
   int jobs = 0;
 
   /// §5 future-work extension: replicate small fanout-node cones into
@@ -72,8 +70,8 @@ struct Options {
     CHORTLE_REQUIRE(k >= 2 && k <= 6, "LUT size K must be in [2, 6]");
     CHORTLE_REQUIRE(split_threshold >= 2 && split_threshold <= 16,
                     "split threshold must be in [2, 16]");
-    CHORTLE_REQUIRE(jobs >= 0 && jobs <= 512,
-                    "jobs must be in [0, 512] (0 = auto)");
+    CHORTLE_REQUIRE(jobs == 0 || jobs == 1,
+                    "jobs must be 0 or 1: map_network runs on one thread");
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,17 +17,6 @@ namespace chortle::core {
 namespace {
 
 int lowest_bit(std::uint32_t mask) { return std::countr_zero(mask); }
-
-// The emitted Lut stores a scalar TruthTable regardless of which table
-// type built the mask; the packed kernel converts once per LUT. (Each
-// build uses exactly one overload, per CHORTLE_SCALAR_KERNELS.)
-[[maybe_unused]] truth::TruthTable to_lut_function(truth::TruthTable fn) {
-  return fn;
-}
-[[maybe_unused]] truth::TruthTable to_lut_function(
-    const truth::PackedTable& fn) {
-  return fn.to_truth();
-}
 
 }  // namespace
 
@@ -431,16 +419,6 @@ net::SignalId TreeMapper::emit_group_lut(EmitContext& ctx, int node,
 net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
                                     net::GateOp root_op, bool complemented,
                                     const std::string& name) const {
-#ifdef CHORTLE_SCALAR_KERNELS
-  // Differential baseline: the same evaluation over the heap-backed
-  // scalar TruthTable, kept buildable behind -DCHORTLE_SCALAR_KERNELS=ON
-  // for the kernel-equivalence fuzz mode and for bisecting emitter
-  // differences against the packed kernels.
-  using Table = truth::TruthTable;
-#else
-  using Table = truth::PackedTable;
-#endif
-
   // Gather the distinct input signals in first-appearance order (the DP
   // counts repeated leaves separately — they are distinct leaf nodes of
   // the tree, paper Figure 3 — but one physical LUT pin suffices when
@@ -466,16 +444,16 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
   // Close folds the finished sub-table into the frame below. The first
   // operand of a frame lands by assignment instead of combining into
   // the op's identity table (x = 1 AND x = 0 OR x), saving an identity
-  // build and a word op per frame. With the packed Table every
-  // accumulator lives inline in the frame, so the whole build is
-  // word-parallel with zero heap allocation until the final LUT.
+  // build and a word op per frame. Every PackedTable accumulator lives
+  // inline in the frame, so the whole build is word-parallel with zero
+  // heap allocation until the final LUT.
   struct Frame {
-    Table acc;
+    truth::PackedTable acc;
     net::GateOp op;
     bool negated;
     bool has_value;
   };
-  const auto combine = [&ctx](Frame& top, const Table& value) {
+  const auto combine = [&ctx](Frame& top, const truth::PackedTable& value) {
     ++ctx.kernel_ops;
     if (!top.has_value) {
       top.acc = value;
@@ -486,28 +464,26 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
       top.acc |= value;
     }
   };
-  // Merge chains nest a frame per merged table; inline storage when the
-  // Table permits it (the scalar TruthTable owns heap words, so the
-  // differential build falls back to std::vector).
-  std::conditional_t<std::is_trivially_copyable_v<Table>,
-                     base::SmallVector<Frame, 16>, std::vector<Frame>>
-      frames;
-  frames.push_back(Frame{Table(), root_op, false, false});
+  // Merge chains nest a frame per merged table.
+  base::SmallVector<Frame, 16> frames;
+  frames.push_back(Frame{truth::PackedTable(), root_op, false, false});
   for (const ConeTok& tok : prog) {
     switch (tok.kind) {
       case ConeTok::kLeaf: {
         ++ctx.kernel_ops;
-        Table value = Table::var(pin_of(tok.signal), arity);
+        truth::PackedTable value =
+            truth::PackedTable::var(pin_of(tok.signal), arity);
         if (tok.negated) value = ~value;
         combine(frames.back(), value);
         break;
       }
       case ConeTok::kOpen:
-        frames.push_back(Frame{Table(), tok.op, tok.negated, false});
+        frames.push_back(
+            Frame{truth::PackedTable(), tok.op, tok.negated, false});
         break;
       case ConeTok::kClose: {
         CHORTLE_CHECK(frames.back().has_value);  // cones have >= 1 operand
-        Table value = std::move(frames.back().acc);
+        truth::PackedTable value = frames.back().acc;
         if (frames.back().negated) {
           ++ctx.kernel_ops;
           value = ~value;
@@ -520,7 +496,7 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
     }
   }
   CHORTLE_CHECK(frames.size() == 1 && frames.back().has_value);
-  Table fn = std::move(frames.back().acc);
+  truth::PackedTable fn = frames.back().acc;
   if (complemented) {
     ++ctx.kernel_ops;
     fn = ~fn;
@@ -528,7 +504,7 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
 
   net::Lut lut;
   lut.inputs.assign(inputs.begin(), inputs.end());
-  lut.function = to_lut_function(std::move(fn));
+  lut.function = fn.to_truth();
   lut.name = name;
   return ctx.circuit.add_lut(std::move(lut));
 }

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <utility>
 
 #include "chortle/work_tree.hpp"
 #include "obs/metrics.hpp"
@@ -117,57 +118,6 @@ WorkTree build_work_tree(const net::Network& network,
                          const std::vector<bool>& is_root, net::NodeId root,
                          const Options& options) {
   return Builder(network, is_root, options).build(root);
-}
-
-namespace {
-
-std::uint64_t pow3(int f) {
-  std::uint64_t r = 1;
-  while (f-- > 0) r *= 3;
-  return r;
-}
-
-/// DP work of one WorkNode of fanin `f`: its 2^f x (K+1) h(S, U) cells
-/// plus the intermediate groups its decomposition scan evaluates. With
-/// the memoized scan each group is evaluated once (serving the whole
-/// utilization sweep), so the group term counts groups, not
-/// group-utilization pairs: every subset S of size s >= 2 contributes
-/// 2^(s-1) - 2 proper groups containing its lowest child, which sums to
-/// (3^f + 3 + 2f) / 2 - 2^(f+1) — exactly the node's
-/// chortle.tree.decomp_candidates tally. The 3^f term dominates wide
-/// nodes (a fanin-10 node's groups outweigh its cells ~4x at K = 4), so
-/// a cells-only estimate misranks wide trees against long chains.
-std::uint64_t node_work(int f, int k) {
-  const std::uint64_t cells =
-      (std::uint64_t{1} << f) * static_cast<unsigned>(k + 1);
-  const std::uint64_t groups =
-      (pow3(f) + 3 + 2 * static_cast<std::uint64_t>(f)) / 2 -
-      (std::uint64_t{2} << f);
-  return cells + groups;
-}
-
-/// DP work of one gate of fanin `f` after splitting: a node above the
-/// bound becomes two halves (recursively), mirroring Builder::attach
-/// plus the fanin-2 node the halves feed.
-std::uint64_t gate_work(int f, int bound, int k) {
-  if (f <= bound) return node_work(f, k);
-  return gate_work(f - f / 2, bound, k) + gate_work(f / 2, bound, k) +
-         gate_work(2, bound, k);
-}
-
-}  // namespace
-
-std::uint64_t estimated_solve_cost(const net::Network& network,
-                                   const Tree& tree, const Options& options) {
-  const int bound =
-      options.search_decompositions ? options.split_threshold : 2;
-  std::uint64_t work = 0;
-  for (net::NodeId gate : tree.gates) {
-    const int f = std::max(
-        static_cast<int>(network.node(gate).fanins.size()), 2);
-    work += gate_work(f, bound, options.k);
-  }
-  return work;
 }
 
 }  // namespace chortle::core

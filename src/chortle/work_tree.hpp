@@ -11,7 +11,6 @@
 //    disabled every node is split all the way down to fanin 2.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "chortle/forest.hpp"
@@ -60,17 +59,5 @@ WorkTree build_work_tree(const net::Network& network, const Forest& forest,
 WorkTree build_work_tree(const net::Network& network,
                          const std::vector<bool>& is_root, net::NodeId root,
                          const Options& options);
-
-/// Rough DP cost of solving `tree`: per WorkNode after node splitting,
-/// its 2^fanin x (K+1) h(S, U) cells plus the intermediate groups the
-/// decomposition scan evaluates (each group evaluated once — the scan
-/// is memoized across the utilization sweep — so the group term is
-/// (3^f + 3 + 2f)/2 - 2^(f+1), the node's decomp_candidates count).
-/// The 3^fanin group term dominates wide nodes, so a cells-only
-/// estimate misranks wide trees against long chains. The parallel
-/// solve phase dispatches largest-estimate-first to balance pool load.
-/// Scheduling only — never affects the mapping.
-std::uint64_t estimated_solve_cost(const net::Network& network,
-                                   const Tree& tree, const Options& options);
 
 }  // namespace chortle::core

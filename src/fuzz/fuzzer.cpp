@@ -22,7 +22,6 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     obs::TraceSpan case_span("fuzz.case", run);
     Rng rng(options.seed + static_cast<std::uint64_t>(run));
     FuzzCase fuzz_case = sample_case(rng, options.generator);
-    fuzz_case.options.jobs = options.jobs;
     fuzz_case.backends = options.backends;
     OBS_COUNT("fuzz.cases_generated", 1);
     const Verdict verdict = check_case(fuzz_case, options.oracle);

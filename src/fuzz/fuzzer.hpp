@@ -22,12 +22,6 @@ struct FuzzOptions {
   std::uint64_t seed = 1;
   /// Stop starting new runs after this many seconds (0 = no budget).
   double time_budget_seconds = 0.0;
-  /// Mapper worker threads forced onto every sampled case (see
-  /// Options::jobs; 0 = auto). Verdicts are jobs-invariant — the
-  /// mapping is byte-identical for any value — so this exists to drive
-  /// the parallel solve path under the differential oracle, not to
-  /// change what is tested.
-  int jobs = 0;
   /// Backends every sampled case is cross-checked under (the
   /// fuzz_mapper --mapper flag narrows this to a single backend).
   std::vector<Backend> backends = all_backends();

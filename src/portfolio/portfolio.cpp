@@ -153,7 +153,6 @@ void run_race_task(const std::shared_ptr<RaceContext>& ctx,
   } else {
     try {
       core::Options options = base_options;
-      options.jobs = 1;  // parallelism comes from racing, not per solve
       options.cancel = token;
       core::MapResult result = strategy->map(subject, options);
       bool closed;
@@ -429,11 +428,9 @@ core::MapResult PortfolioMapper::map_with(const net::Network& network,
     for (const core::Tree& tree : forest.trees)
       subnets.push_back(extract_tree(network, tree));
     fallback_trees.resize(subnets.size());
-    core::Options tree_options = fallback_options;
-    tree_options.jobs = 1;
     for (std::size_t t = 0; t < subnets.size(); ++t) {
       core::MapResult tree_result =
-          fallback->map(subnets[t].network, tree_options);
+          fallback->map(subnets[t].network, fallback_options);
       fallback_trees[t] = make_candidate(
           subnets[t].network, std::move(tree_result.circuit), /*rank=*/0);
       CHORTLE_CHECK_MSG(fallback_trees[t].has_value(),

@@ -572,7 +572,6 @@ Server::Server(ServerConfig config)
                      static_cast<std::int64_t>(config_.max_connections));
   report_.set_option("cache_bytes",
                      static_cast<std::int64_t>(config_.cache_bytes));
-  report_.set_option("map_jobs", config_.map_jobs);
 }
 
 Server::~Server() { shutdown(); }
@@ -783,7 +782,6 @@ MapResponse Server::process_request(const Frame& frame,
     options.k = request.k;
     options.split_threshold = request.split_threshold;
     options.search_decompositions = request.search_decompositions;
-    options.jobs = config_.map_jobs;
     if (request.deadline_ms >= 0) options.cancel = &token;
     const core::IMapper* mapper = core::find_mapper(request.mapper);
     if (mapper == nullptr)
@@ -1023,7 +1021,9 @@ obs::Json Server::stats_json() const {
   config.set("max_connections",
              static_cast<std::int64_t>(config_.max_connections));
   config.set("idle_timeout_ms", config_.idle_timeout_ms);
-  config.set("map_jobs", config_.map_jobs);
+  // Each request maps on one worker thread; chortle-serve-stats/1 still
+  // carries the field, so it is written as the constant 1.
+  config.set("map_jobs", 1);
   config.set("cache_bytes", static_cast<std::int64_t>(config_.cache_bytes));
   doc.set("config", std::move(config));
   doc.set("requests", counters_json(counters()));

@@ -82,9 +82,6 @@ struct ServerConfig {
   std::int64_t idle_timeout_ms = 60000;
   /// DpCache byte budget shared by all workers.
   std::size_t cache_bytes = std::size_t{256} << 20;
-  /// Worker threads inside each map_network call (1: a request is
-  /// mapped single-threaded; parallelism across requests instead).
-  int map_jobs = 1;
 };
 
 class Server {

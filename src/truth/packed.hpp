@@ -10,9 +10,7 @@
 // layout exactly — bit m of word m/64 is f(m) — so conversions are
 // straight word copies and the two implementations can be cross-checked
 // bit for bit. The fuzz harness's kernel-equivalence mode
-// (fuzz/kernel_check.hpp) does exactly that on randomized tables, and
-// building with -DCHORTLE_SCALAR_KERNELS=ON keeps the mapper on the
-// old TruthTable path so the two emitters can be diffed end to end.
+// (fuzz/kernel_check.hpp) does exactly that on randomized tables.
 #pragma once
 
 #include <array>

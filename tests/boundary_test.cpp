@@ -52,6 +52,21 @@ TEST(OptionsBoundary, ValidateRejectsJustOutsideTheRange) {
   EXPECT_THROW(options.validate(), InvalidInput);
 }
 
+TEST(OptionsBoundary, JobsAcceptsOnlyTheSingleThreadedValues) {
+  // map_network runs on its caller's thread; a request for more threads
+  // is refused rather than silently mapped serially.
+  for (int jobs : {0, 1}) {
+    Options options;
+    options.jobs = jobs;
+    EXPECT_NO_THROW(options.validate()) << "jobs=" << jobs;
+  }
+  for (int jobs : {2, -1}) {
+    Options options;
+    options.jobs = jobs;
+    EXPECT_THROW(options.validate(), InvalidInput) << "jobs=" << jobs;
+  }
+}
+
 TEST(OptionsBoundary, DuplicationLimitsStopAtTheDocumentedCeiling) {
   // The upper bounds exist because duplication cost is explored per
   // subset: a runaway value turns one request into an effectively

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "chortle/forest.hpp"
-#include "chortle/tree_mapper.hpp"
 #include "chortle/work_tree.hpp"
 #include "helpers.hpp"
-#include "obs/metrics.hpp"
 
 namespace chortle::core {
 namespace {
@@ -140,69 +138,6 @@ TEST(WorkTree, SplittingBoundsFanin) {
   EXPECT_EQ(work.num_leaves, 30);
   for (const WorkNode& node : work.nodes)
     EXPECT_LE(node.children.size(), 10u);
-}
-
-TEST(EstimatedSolveCost, CountsCellsAndMemoizedGroups) {
-  // One fanin-8 AND gate, k = 4. Cells: 2^8 x 5 = 1280. Groups, with
-  // the memoized decomposition scan evaluating each group once:
-  // (3^8 + 3 + 16)/2 - 2^9 = 2778.
-  net::Network n;
-  std::vector<net::Fanin> fanins;
-  for (int i = 0; i < 8; ++i)
-    fanins.push_back(net::Fanin{n.add_input(""), false});
-  const auto gate = n.add_gate(net::GateOp::kAnd, fanins);
-  n.add_output("y", gate, false);
-  const Forest forest = build_forest(n);
-  Options options;
-  options.k = 4;
-  EXPECT_EQ(estimated_solve_cost(n, forest.trees[0], options),
-            1280u + 2778u);
-
-  // The group term is exactly what the solve kernel counts as
-  // chortle.tree.decomp_candidates — the estimate tracks the search
-  // the kernels actually perform.
-  obs::Registry& registry = obs::Registry::global();
-  registry.reset();
-  const TreeMapper mapper(
-      build_work_tree(n, forest, forest.trees[0], options), options);
-  EXPECT_GT(mapper.best_cost(), 0);
-  EXPECT_EQ(registry.snapshot().counter("chortle.tree.decomp_candidates"),
-            2778u);
-}
-
-TEST(EstimatedSolveCost, MemoAwareOrderingRanksWideTreeAboveLongChain) {
-  // A single fanin-10 gate against a 1000-gate fanin-2 chain, k = 4.
-  // Cells alone misrank them: the chain has 1000 x 20 = 20000 cells to
-  // the wide gate's 5120. The wide gate's decomposition scan evaluates
-  // (3^10 + 3 + 20)/2 - 2^11 = 27488 groups, so the memo-aware
-  // estimate dispatches it first — pinning the dispatch ordering the
-  // parallel solve phase relies on for load balance.
-  net::Network wide;
-  std::vector<net::Fanin> fanins;
-  for (int i = 0; i < 10; ++i)
-    fanins.push_back(net::Fanin{wide.add_input(""), false});
-  wide.add_output("y", wide.add_gate(net::GateOp::kAnd, fanins), false);
-  const Forest wide_forest = build_forest(wide);
-
-  net::Network chain;
-  auto acc = chain.add_gate(
-      net::GateOp::kAnd,
-      {{chain.add_input(""), false}, {chain.add_input(""), false}});
-  for (int i = 1; i < 1000; ++i)
-    acc = chain.add_gate(net::GateOp::kAnd,
-                         {{acc, false}, {chain.add_input(""), false}});
-  chain.add_output("y", acc, false);
-  const Forest chain_forest = build_forest(chain);
-
-  Options options;
-  options.k = 4;
-  const std::uint64_t wide_cost =
-      estimated_solve_cost(wide, wide_forest.trees[0], options);
-  const std::uint64_t chain_cost =
-      estimated_solve_cost(chain, chain_forest.trees[0], options);
-  EXPECT_EQ(wide_cost, 5120u + 27488u);
-  EXPECT_EQ(chain_cost, 20000u);
-  EXPECT_GT(wide_cost, chain_cost);
 }
 
 TEST(WorkTree, FixedDecompositionAblationMakesBinaryTrees) {

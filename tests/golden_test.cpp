@@ -6,9 +6,9 @@
 // changes a single emitted byte fails here with the benchmark and K
 // named. Three modes must all reproduce the goldens:
 //
-//   serial      --jobs 1, no cache (the reference configuration)
-//   jobs 4      the parallel solve phase
-//   warm cache  re-mapping through a populated cross-request DP cache
+//   serial      no cache (the reference configuration)
+//   cold cache  mapping through a fresh cross-request DP cache
+//   warm cache  re-mapping through the now-populated cache
 //
 // Regenerate (only when an intentional quality change lands) with:
 //   ./build/bench/run_tables --golden-out tests/golden/lut_counts.tsv
@@ -70,11 +70,10 @@ struct MappedResult {
   std::string blif_hash;
 };
 
-MappedResult map_once(const net::Network& network, int k, int jobs,
+MappedResult map_once(const net::Network& network, int k,
                       core::DpCache* cache) {
   core::Options options;
   options.k = k;
-  options.jobs = jobs;
   const core::MapResult result =
       cache != nullptr ? core::map_network(network, options, cache)
                        : core::map_network(network, options);
@@ -103,15 +102,12 @@ TEST_P(GoldenSuite, MatchesRecordedMapping) {
   const sop::SopNetwork source = mcnc::generate(name);
   const opt::OptimizedDesign design = opt::optimize(source);
   for (int k = 2; k <= 6; ++k) {
-    expect_golden(name, k, "serial",
-                  map_once(design.network, k, /*jobs=*/1, nullptr));
-    expect_golden(name, k, "jobs4",
-                  map_once(design.network, k, /*jobs=*/4, nullptr));
+    expect_golden(name, k, "serial", map_once(design.network, k, nullptr));
     core::DpCache cache;
     expect_golden(name, k, "cache-cold",
-                  map_once(design.network, k, /*jobs=*/1, &cache));
+                  map_once(design.network, k, &cache));
     expect_golden(name, k, "cache-warm",
-                  map_once(design.network, k, /*jobs=*/1, &cache));
+                  map_once(design.network, k, &cache));
     EXPECT_GT(cache.stats().hits, 0u)
         << "warm mapping hit nothing: benchmark=" << name << " K=" << k;
   }

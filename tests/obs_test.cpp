@@ -425,6 +425,29 @@ TEST(Integration, MappingABenchmarkBumpsTheDpCounters) {
             static_cast<std::uint64_t>(result.stats.num_luts));
 }
 
+TEST(Integration, DecompCandidatesCountsEachGroupOnce) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+
+  // One fanin-8 AND gate, K = 4. The memoized decomposition scan
+  // evaluates each intermediate group once: every subset S of size
+  // s >= 2 contributes 2^(s-1) - 2 proper groups containing its lowest
+  // child, which sums to (3^8 + 3 + 16)/2 - 2^9 = 2778.
+  net::Network network;
+  std::vector<net::Fanin> fanins;
+  for (int i = 0; i < 8; ++i)
+    fanins.push_back(
+        net::Fanin{network.add_input("x" + std::to_string(i)), false});
+  network.add_output("f", network.add_gate(net::GateOp::kAnd, fanins),
+                     false);
+
+  core::Options options;
+  options.k = 4;
+  (void)core::map_network(network, options);
+  EXPECT_EQ(registry.snapshot().counter("chortle.tree.decomp_candidates"),
+            2778u);
+}
+
 TEST(Integration, WideFanInNodeCountsASplitEvent) {
   obs::Registry& registry = obs::Registry::global();
   registry.reset();

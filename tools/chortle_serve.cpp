@@ -5,7 +5,7 @@
 //
 //   chortle_serve (--unix PATH | --port N) [--workers N] [--queue N]
 //                 [--max-conns N] [--idle-timeout-ms N] [--cache-mb N]
-//                 [--map-jobs N] [--stats-out PATH] [--stats-log-s N]
+//                 [--stats-out PATH] [--stats-log-s N]
 //
 //   --unix PATH      listen on a Unix-domain socket at PATH
 //   --port N         listen on 127.0.0.1:N (0 = ephemeral; the chosen
@@ -21,7 +21,6 @@
 //   --idle-timeout-ms N  close connections idle (or stalled mid-frame)
 //                    this long; <= 0 never (default 60000)
 //   --cache-mb N     DP-cache budget in MiB (default 256)
-//   --map-jobs N     threads per map_network call (default 1)
 //   --stats-out P    write a chortle-run-report/1 with one row per
 //                    served request on shutdown
 //   --stats-log-s N  every N seconds, log a one-line summary of the
@@ -65,7 +64,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: chortle_serve (--unix PATH | --port N) [--workers N] "
                "[--queue N] [--max-conns N] [--idle-timeout-ms N] "
-               "[--cache-mb N] [--map-jobs N] [--stats-out PATH] "
+               "[--cache-mb N] [--stats-out PATH] "
                "[--stats-log-s N]\n");
 }
 
@@ -138,8 +137,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-mb" && has_value) {
       config.cache_bytes =
           static_cast<std::size_t>(std::atol(argv[++i])) << 20;
-    } else if (arg == "--map-jobs" && has_value) {
-      config.map_jobs = std::atoi(argv[++i]);
     } else if (arg == "--stats-out" && has_value) {
       stats_out = argv[++i];
     } else if (arg == "--stats-log-s" && has_value) {

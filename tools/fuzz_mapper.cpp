@@ -8,7 +8,7 @@
 //
 //   fuzz_mapper [--runs N] [--seed S] [--smoke] [--kernels] [--corpus DIR]
 //               [--mapper NAME[,NAME...]] [--inject-miscompile [LUT,BIT]]
-//               [--no-shrink] [--quiet] [--jobs N] [--stats-out FILE]
+//               [--no-shrink] [--quiet] [--stats-out FILE]
 //               [--trace-out FILE]
 //
 //   --mapper NAMES        restrict the oracle to these backends
@@ -19,10 +19,6 @@
 //                         the scalar truth::TruthTable reference on
 //                         randomized tables up to 10 inputs (uses
 //                         --runs/--seed; skips the network fuzz loop)
-//   --jobs N              mapper worker threads forced onto every case
-//                         (0 = auto via CHORTLE_JOBS; verdicts are
-//                         jobs-invariant — this drives the parallel
-//                         solve path under the oracle)
 //   --inject-miscompile   flip one LUT truth-table bit in every Chortle
 //                         result (self-test: the oracle must catch it)
 //   --stats-out FILE      write a chortle-run-report/1 JSON document
@@ -48,7 +44,7 @@ void usage() {
                "[--kernels] [--corpus DIR] "
                "[--mapper NAME[,NAME...]] "
                "[--inject-miscompile [LUT,BIT]] "
-               "[--no-shrink] [--quiet] [--jobs N] "
+               "[--no-shrink] [--quiet] "
                "[--stats-out FILE] [--trace-out FILE]\n");
 }
 
@@ -130,12 +126,6 @@ int main(int argc, char** argv) {
       options.backends = parse_backends(argv[++i]);
     } else if (arg.rfind("--mapper=", 0) == 0) {
       options.backends = parse_backends(arg.substr(9));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<int>(parse_number("--jobs", argv[++i]));
-      if (options.jobs > 512) {
-        std::fprintf(stderr, "fuzz_mapper: --jobs must be <= 512\n");
-        return 2;
-      }
     } else if (arg == "--stats-out" && i + 1 < argc) {
       stats_out = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
@@ -195,7 +185,6 @@ int main(int argc, char** argv) {
   run_report.set_option("runs", options.runs);
   run_report.set_option("seed", options.seed);
   run_report.set_option("smoke", smoke);
-  run_report.set_option("jobs", options.jobs);
   run_report.set_option("shrink", options.shrink_failures);
   {
     std::string mappers;
