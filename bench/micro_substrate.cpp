@@ -1,5 +1,6 @@
 // Microbenchmarks of the substrates: BLIF parsing, ISOP extraction,
-// NPN canonization, kernel extraction, and bit-parallel simulation.
+// NPN canonization, kernel extraction, divisor extraction (the
+// optimizer's hot pass), and bit-parallel simulation.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -8,6 +9,9 @@
 #include "base/rng.hpp"
 #include "blif/blif.hpp"
 #include "mcnc/generators.hpp"
+#include "opt/extract.hpp"
+#include "opt/simplify.hpp"
+#include "opt/sweep.hpp"
 #include "sim/simulate.hpp"
 #include "sop/isop.hpp"
 #include "sop/kernels.hpp"
@@ -76,6 +80,29 @@ void BM_Kernels(benchmark::State& state) {
   state.counters["cubes"] = cover.num_cubes();
 }
 BENCHMARK(BM_Kernels);
+
+// opt::extract_divisors on a benchmark as opt::optimize hands it over,
+// after sweep and simplify; the copy of the network is not timed.
+void BM_ExtractDivisors(benchmark::State& state, const char* name) {
+  sop::SopNetwork prepared = mcnc::generate(name);
+  opt::sweep(prepared);
+  opt::simplify_covers(prepared);
+  int divisors = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sop::SopNetwork network = prepared;
+    state.ResumeTiming();
+    divisors = opt::extract_divisors(network).divisors_extracted;
+  }
+  state.counters["divisors"] = divisors;
+  state.SetLabel(name);
+}
+BENCHMARK_CAPTURE(BM_ExtractDivisors, alu4, "alu4")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExtractDivisors, k2, "k2")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExtractDivisors, des, "des")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Simulate(benchmark::State& state) {
   const sop::SopNetwork net = mcnc::generate("des");

@@ -35,6 +35,13 @@
 //                      (default 0.005). Reads /1 and /2 baselines (rows
 //                      are matched by field name). Exits 3 on a perf
 //                      regression, 1 on any LUT/BLIF mismatch.
+//
+// A flag value that is not wholly a number ("3x", "2.9" for an integer,
+// "abc") prints the usage and exits 2.
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,6 +89,31 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+/// Parses all of `text` as a decimal int; false on anything else.
+bool parse_int(const char* text, int& out) {
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
+    return false;
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < INT_MIN || value > INT_MAX)
+    return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+/// Parses all of `text` as a finite double; false on anything else.
+bool parse_double(const char* text, double& out) {
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
+    return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(value)) return false;
+  out = value;
+  return true;
+}
+
 Flags parse_flags(int argc, char** argv) {
   Flags flags;
   auto need_value = [&](int i) { return i + 1 < argc; };
@@ -93,22 +125,27 @@ Flags parse_flags(int argc, char** argv) {
       flags.mapper = argv[++i];
     } else if (arg == "--benchmarks" && need_value(i)) {
       flags.benchmarks = split_csv(argv[++i]);
-    } else if (arg == "--kmin" && need_value(i)) {
-      flags.kmin = std::atoi(argv[++i]);
-    } else if (arg == "--kmax" && need_value(i)) {
-      flags.kmax = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && need_value(i)) {
-      flags.repeat = std::atoi(argv[++i]);
+    } else if (arg == "--kmin" && need_value(i) &&
+               parse_int(argv[i + 1], flags.kmin)) {
+      ++i;
+    } else if (arg == "--kmax" && need_value(i) &&
+               parse_int(argv[i + 1], flags.kmax)) {
+      ++i;
+    } else if (arg == "--repeat" && need_value(i) &&
+               parse_int(argv[i + 1], flags.repeat)) {
+      ++i;
     } else if (arg == "--label" && need_value(i)) {
       flags.label = argv[++i];
     } else if (arg == "--golden-out" && need_value(i)) {
       flags.golden_out = argv[++i];
     } else if (arg == "--check" && need_value(i)) {
       flags.check = argv[++i];
-    } else if (arg == "--tolerance" && need_value(i)) {
-      flags.tolerance = std::atof(argv[++i]);
-    } else if (arg == "--min-seconds" && need_value(i)) {
-      flags.min_seconds = std::atof(argv[++i]);
+    } else if (arg == "--tolerance" && need_value(i) &&
+               parse_double(argv[i + 1], flags.tolerance)) {
+      ++i;
+    } else if (arg == "--min-seconds" && need_value(i) &&
+               parse_double(argv[i + 1], flags.min_seconds)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: run_tables [--out FILE] [--mapper NAME]\n"
@@ -123,7 +160,7 @@ Flags parse_flags(int argc, char** argv) {
     }
   }
   if (flags.kmin < 2 || flags.kmax > 6 || flags.kmin > flags.kmax ||
-      flags.repeat < 1) {
+      flags.repeat < 1 || flags.tolerance < 0 || flags.min_seconds < 0) {
     std::fprintf(stderr, "run_tables: bad flag values\n");
     flags.bad = true;
   }

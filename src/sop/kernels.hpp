@@ -10,9 +10,12 @@
 //    exactly as described in §4.1 of the paper.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "sop/cover.hpp"
+#include "sop/packed_cover.hpp"
 
 namespace chortle::sop {
 
@@ -20,6 +23,17 @@ struct KernelEntry {
   Cover kernel;    // cube-free
   Cube co_kernel;  // F / co_kernel == kernel (one witness; not unique)
 };
+
+/// Receives a kernel as its cubes packed over the cover's support (in
+/// no particular order) and one witness co-kernel as a packed cube.
+using KernelVisitor =
+    std::function<void(std::span<const PackedCover::Word> kernel,
+                       std::span<const PackedCover::Word> co_kernel)>;
+
+/// Runs the kernel recursion of find_kernels on packed cubes and visits
+/// every kernel in find_kernels order, but without removing repeats:
+/// a kernel reached through several co-kernels is visited each time.
+void for_each_kernel(const PackedCover& cover, const KernelVisitor& visit);
 
 /// All kernels of `cover`, including the cover itself when cube-free.
 /// Duplicate kernels (same cover reached via different co-kernels) are

@@ -6,12 +6,14 @@
 
 #include "base/check.hpp"
 #include "base/timer.hpp"
+#include "blif/blif.hpp"
 #include "chortle/mapper.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "opt/extract.hpp"
 #include "opt/script.hpp"
 
 namespace chortle {
@@ -467,6 +469,27 @@ TEST(Integration, WideFanInNodeCountsASplitEvent) {
   options.k = 4;
   (void)core::map_network(network, options);
   EXPECT_GT(registry.snapshot().counter("chortle.tree.split_events"), 0u);
+}
+
+TEST(Integration, ExtractionCountsRoundsCandidatesAndDivisions) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+
+  // f = ab + ac, g = db + dc: each node lists the one kernel b + c.
+  // Round 1 scores it (a division at f and at g) and extracts it as
+  // ext0; round 2 scores it again, now listed by ext0 alone, and stops.
+  sop::SopNetwork network =
+      blif::read_blif_string(
+          ".model m\n.inputs a b c d\n.outputs f g\n"
+          ".names a b c f\n11- 1\n1-1 1\n"
+          ".names d b c g\n11- 1\n1-1 1\n.end\n")
+          .network;
+  const opt::ExtractStats stats = opt::extract_divisors(network);
+  EXPECT_EQ(stats.divisors_extracted, 1);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("opt.extract.rounds"), 2u);
+  EXPECT_EQ(snap.counter("opt.extract.candidates_scored"), 2u);
+  EXPECT_GE(snap.counter("opt.extract.divisions"), 2u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "sop/cube.hpp"
 #include "sop/isop.hpp"
 #include "sop/kernels.hpp"
+#include "sop/packed_cover.hpp"
 #include "sop/sop_network.hpp"
 
 namespace chortle::sop {
@@ -192,6 +193,114 @@ TEST(Kernels, KernelsAreCubeFreeQuotients) {
       EXPECT_EQ(q.scc_minimized(), entry.kernel.scc_minimized());
     }
   }
+}
+
+TEST(PackedCover, PacksAcrossWordBoundaries) {
+  // Two cubes over six variables, alone (bits 0-5 of one word) and then
+  // above a wide cube of 62 or 126 lower variables, so that their bits
+  // straddle the first or the second word boundary.
+  const Cube x = cube({P(1000), N(1001), P(1002)});
+  const Cube y = cube({N(1003), P(1004), P(1005)});
+  for (const int pad : {0, 62, 126}) {
+    std::vector<Cube> cubes{x, y, x};
+    if (pad > 0) {
+      std::vector<Literal> wide;
+      for (int v = 0; v < pad; ++v) wide.push_back(P(v));
+      cubes.push_back(Cube(wide));
+    }
+    const Cover f{cubes};
+    const PackedCover packed(f);
+    EXPECT_EQ(packed.support(), f.support());
+    EXPECT_EQ(packed.words(), 1 + pad / 62);
+    ASSERT_EQ(packed.num_cubes(), f.num_cubes());
+    std::vector<Literal> literals;
+    for (int i = 0; i < f.num_cubes(); ++i) {
+      packed.unpack(packed.cube(i), literals);
+      EXPECT_EQ(literals, f.cube(i).literals());
+      EXPECT_EQ(packed_size(packed.cube(i)), f.cube(i).size());
+    }
+    // x occurs twice: its first copy answers find() and holds both.
+    EXPECT_EQ(packed.find(packed.cube(2)), 0);
+    EXPECT_EQ(packed.multiplicity(0), 2);
+    EXPECT_EQ(packed.multiplicity(1), 1);
+    // Cubes holding !x1001: the first copy of x only.
+    std::vector<PackedCover::Word> probe(
+        static_cast<std::size_t>(packed.cube_words()), 0);
+    const std::vector<Literal> literal{N(1001)};
+    ASSERT_TRUE(packed.pack(literal, probe));
+    EXPECT_TRUE(packed_contains(packed.cube(0), probe));
+    EXPECT_FALSE(packed_contains(packed.cube(1), probe));
+    std::vector<PackedCover::Word> holders(
+        static_cast<std::size_t>(packed.column_words()));
+    packed.containing(probe, holders);
+    EXPECT_EQ(holders[0], PackedCover::Word{1});
+    const std::vector<Literal> outside{P(999)};
+    EXPECT_FALSE(packed.pack(outside, probe));
+  }
+}
+
+TEST(PackedCover, DivisionSavingMatchesCoverDivide) {
+  // The packed saving against lits(F) - (lits(R) + lits(Q) + |Q|) from
+  // Cover::divide, on random covers with repeated cubes, unsorted
+  // cubes and supports of one to three words, over every kernel and
+  // pairwise common cube of F and random single cubes.
+  Rng rng(41);
+  std::vector<PackedCover::Word> packed_divisor;
+  std::vector<PackedCover::Word> scratch;
+  int checked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int spread = trial % 3 == 0 ? 150 : 8;
+    std::vector<Cube> cubes;
+    const int num_cubes = 2 + static_cast<int>(rng.next_below(9));
+    for (int i = 0; i < num_cubes; ++i) {
+      if (!cubes.empty() && rng.next_below(6) == 0) {
+        cubes.push_back(cubes[rng.next_below(cubes.size())]);  // repeat
+        continue;
+      }
+      std::vector<Literal> lits;
+      const int width = 1 + static_cast<int>(rng.next_below(4));
+      for (int j = 0; j < width; ++j) {
+        // Mostly a few shared variables, so divisors have quotients.
+        const int v = rng.next_below(3) == 0
+                          ? static_cast<int>(rng.next_below(spread))
+                          : static_cast<int>(rng.next_below(5));
+        if (std::none_of(lits.begin(), lits.end(), [&](Literal l) {
+              return literal_var(l) == v;
+            }))
+          lits.push_back(make_literal(v, rng.next_below(4) == 0));
+      }
+      cubes.push_back(Cube(lits));
+    }
+    const Cover f{cubes};
+    const PackedCover packed(f);
+    std::vector<Cover> divisors;
+    for (const KernelEntry& entry : find_kernels(f))
+      divisors.push_back(entry.kernel);
+    for (std::size_t i = 0; i < cubes.size(); ++i)
+      for (std::size_t j = i + 1; j < cubes.size(); ++j)
+        divisors.push_back(Cover({cubes[i].common_with(cubes[j])}));
+    divisors.push_back(Cover({cubes[rng.next_below(cubes.size())]}));
+    for (const Cover& d : divisors) {
+      if (d.cube(0).is_one()) continue;
+      const auto width = static_cast<std::size_t>(packed.cube_words());
+      packed_divisor.assign(width * static_cast<std::size_t>(d.num_cubes()), 0);
+      bool inside = true;
+      for (int k = 0; k < d.num_cubes(); ++k)
+        inside = inside && packed.pack(d.cube(k).literals(),
+                                       {packed_divisor.data() + k * width,
+                                        width});
+      ASSERT_TRUE(inside);
+      const auto [q, r] = f.divide(d);
+      const int expected =
+          q.is_zero() ? 0
+                      : f.literal_count() - (r.literal_count() +
+                                             q.literal_count() + q.num_cubes());
+      EXPECT_EQ(division_saving(packed, packed_divisor, scratch), expected)
+          << "trial " << trial;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 TEST(Isop, RoundTripsRandomFunctions) {
