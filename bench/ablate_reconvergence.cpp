@@ -33,9 +33,7 @@ int main() {
     const opt::OptimizedDesign design = opt::optimize(mcnc::generate(name));
     std::printf("%-8s", name.c_str());
     for (int k = 2; k <= 5; ++k) {
-      const libmap::Library lib = k <= 3
-                                      ? libmap::Library::complete(k)
-                                      : libmap::Library::level0_kernels(k);
+      const libmap::Library& lib = libmap::library_for(k);
       const int tree =
           libmap::map_with_library(design.network, lib, structural)
               .stats.num_luts;

@@ -23,25 +23,18 @@
 //                    and depth must match exactly; total wall time must
 //                    be within --tolerance (default 0.15). Exits 3 on a
 //                    perf regression, 1 on any exact mismatch.
+//
+// A flag value that is not wholly a number in range prints the usage
+// and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "base/fnv.hpp"
-#include "base/timer.hpp"
-#include "bdd/equiv.hpp"
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "cutmap/cutmap.hpp"
-#include "flowmap/flowmap.hpp"
 #include "libmap/subject.hpp"
-#include "mcnc/generators.hpp"
-#include "obs/json.hpp"
-#include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "sweep.hpp"
 
 namespace chortle::bench {
 namespace {
@@ -59,16 +52,21 @@ Flags parse_flags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
     if (arg == "--out" && i + 1 < argc) {
       flags.out = argv[++i];
     } else if (arg == "--check" && i + 1 < argc) {
       flags.check = argv[++i];
-    } else if (arg == "--k" && i + 1 < argc) {
-      flags.k = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      flags.repeat = std::atoi(argv[++i]);
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      flags.tolerance = std::atof(argv[++i]);
+    } else if (arg == "--k" &&
+               base::parse_number(value, flags.k, 2,
+                                  cutmap::CutMapOptions::kMaxK)) {
+      ++i;
+    } else if (arg == "--repeat" &&
+               base::parse_number(value, flags.repeat, 1)) {
+      ++i;
+    } else if (arg == "--tolerance" &&
+               base::parse_number(value, flags.tolerance, 0.0)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: ext_cutmap [--out FILE] [--k N] [--repeat R]\n"
@@ -77,98 +75,7 @@ Flags parse_flags(int argc, char** argv) {
       return flags;
     }
   }
-  if (flags.k < 2 || flags.k > cutmap::CutMapOptions::kMaxK ||
-      flags.repeat < 1) {
-    std::fprintf(stderr, "ext_cutmap: bad flag values\n");
-    flags.bad = true;
-  }
   return flags;
-}
-
-struct Row {
-  std::string name;
-  int k = 0;
-  int luts = 0;
-  int first_pass_luts = 0;
-  int depth = 0;
-  int depth_bound = 0;
-  int decomposed_luts = 0;
-  std::string blif_hash;
-  double seconds = 0.0;
-};
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "ext_cutmap: cannot open baseline %s\n",
-                 flags.check.c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "ext_cutmap: baseline has no benchmarks array\n");
-    return 2;
-  }
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
-
-  int mismatches = 0;
-  int compared = 0;
-  double base_seconds = 0.0;
-  double current_seconds = 0.0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    const struct {
-      const char* field;
-      int current;
-    } exact[] = {{"luts", row.luts}, {"depth", row.depth}};
-    for (const auto& check : exact) {
-      if (const obs::Json* v = base_row.find(check.field);
-          v != nullptr && v->as_int() != check.current) {
-        std::fprintf(stderr,
-                     "ext_cutmap: %s mismatch vs baseline: %s K=%d "
-                     "(baseline %lld, current %d)\n",
-                     check.field, row.name.c_str(), row.k,
-                     static_cast<long long>(v->as_int()), check.current);
-        ++mismatches;
-      }
-    }
-    current_seconds += row.seconds;
-    if (const obs::Json* v = base_row.find("seconds"); v != nullptr)
-      base_seconds += v->as_number();
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "ext_cutmap: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  // Wall time is machine-dependent; only the totals are compared, and
-  // only when the baseline is above timing resolution.
-  if (base_seconds >= 0.005) {
-    const double ratio = current_seconds / base_seconds;
-    std::printf("check seconds  baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                base_seconds, current_seconds, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "ext_cutmap: wall time regressed %.0f%% (> %.0f%% "
-                   "tolerance)\n",
-                   (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      return 3;
-    }
-  }
-  return 0;
 }
 
 int run(const Flags& flags) {
@@ -177,71 +84,59 @@ int run(const Flags& flags) {
   std::printf("%-8s %6s %6s %6s %6s %6s %5s %9s\n", "circuit", "luts",
               "first", "rec%", "depth", "bound", "casc", "t(s)");
 
-  std::vector<Row> rows;
+  obs::Json bench_rows = obs::Json::array();
   int failures = 0;
   long total_luts = 0;
   long total_first = 0;
   long total_depth = 0;
   long total_bound = 0;
-  for (const std::string& name : mcnc::benchmark_names()) {
-    const sop::SopNetwork source = mcnc::generate(name);
-    const opt::OptimizedDesign design = opt::optimize(source);
+  double total_seconds = 0.0;
+  for_each_circuit({}, [&](const Circuit& circuit) {
     const net::Network subject =
-        libmap::build_subject_graph(design.network);
-
+        libmap::build_subject_graph(circuit.design.network);
     cutmap::CutMapOptions options;
     options.k = flags.k;
-    Row row;
-    row.name = name;
-    row.k = flags.k;
-    cutmap::CutMapResult result{net::LutCircuit(flags.k),
-                                cutmap::CutMapStats{}};
-    for (int r = 0; r < flags.repeat; ++r) {
-      WallTimer timer;
-      result = cutmap::map_luts(subject, options);
-      const double seconds = timer.seconds();
-      if (r == 0 || seconds < row.seconds) row.seconds = seconds;
-    }
-    row.luts = result.stats.num_luts;
-    row.first_pass_luts = result.stats.first_pass_luts;
-    row.depth = result.stats.depth;
-    row.depth_bound = result.stats.depth_bound;
-    row.decomposed_luts = result.stats.decomposed_luts;
+    double seconds = 0.0;
+    const cutmap::CutMapResult result = min_of_repeat(
+        flags.repeat, &seconds,
+        [&] { return cutmap::map_luts(subject, options); });
+    const cutmap::CutMapStats& stats = result.stats;
 
-    // Verify: simulation + BDD against the source, then again through
-    // a BLIF round-trip of the emitted netlist.
+    // The emitted netlist must mean what the mapper computed, and the
+    // depth must stay within the FlowMap-optimal bound.
     const std::string blif =
-        blif::write_blif_string(result.circuit, name + "_cutmap");
-    row.blif_hash = base::fnv1a64_hex(blif);
-    bool ok = sim::equivalent(sim::design_of(source),
-                              sim::design_of(result.circuit));
-    if (ok) {
-      const bdd::FormalOutcome formal =
-          bdd::check_equivalence(source, result.circuit);
-      ok = formal.status != bdd::FormalOutcome::Status::kDifferent;
-    }
-    if (ok) {
-      const blif::BlifModel round_trip = blif::read_blif_string(blif);
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(round_trip.network));
-    }
-    if (row.depth > row.depth_bound) ok = false;
+        blif::write_blif_string(result.circuit, circuit.name + "_cutmap");
+    const bool ok = verify_cover(circuit.source, result.circuit, blif) &&
+                    stats.depth <= stats.depth_bound;
     if (!ok) ++failures;
 
     const double recovery =
-        row.first_pass_luts > 0
-            ? 100.0 * (row.first_pass_luts - row.luts) / row.first_pass_luts
+        stats.first_pass_luts > 0
+            ? 100.0 * (stats.first_pass_luts - stats.num_luts) /
+                  stats.first_pass_luts
             : 0.0;
-    std::printf("%-8s %6d %6d %5.1f%% %6d %6d %5d %9.4f%s\n", name.c_str(),
-                row.luts, row.first_pass_luts, recovery, row.depth,
-                row.depth_bound, row.decomposed_luts, row.seconds,
-                ok ? "" : "  VERIFY-FAIL");
-    total_luts += row.luts;
-    total_first += row.first_pass_luts;
-    total_depth += row.depth;
-    total_bound += row.depth_bound;
-    rows.push_back(std::move(row));
-  }
+    std::printf("%-8s %6d %6d %5.1f%% %6d %6d %5d %9.4f%s\n",
+                circuit.name.c_str(), stats.num_luts, stats.first_pass_luts,
+                recovery, stats.depth, stats.depth_bound,
+                stats.decomposed_luts, seconds, ok ? "" : "  VERIFY-FAIL");
+    total_luts += stats.num_luts;
+    total_first += stats.first_pass_luts;
+    total_depth += stats.depth;
+    total_bound += stats.depth_bound;
+    total_seconds += seconds;
+
+    obs::Json entry = obs::Json::object();
+    entry.set("name", circuit.name);
+    entry.set("k", flags.k);
+    entry.set("luts", stats.num_luts);
+    entry.set("first_pass_luts", stats.first_pass_luts);
+    entry.set("depth", stats.depth);
+    entry.set("depth_bound", stats.depth_bound);
+    entry.set("decomposed_luts", stats.decomposed_luts);
+    entry.set("blif_fnv1a64", base::fnv1a64_hex(blif));
+    entry.set("seconds", seconds);
+    bench_rows.push_back(std::move(entry));
+  });
   std::printf("%-8s %6ld %6ld %5.1f%% %6ld %6ld\n", "total", total_luts,
               total_first,
               100.0 * (total_first - total_luts) /
@@ -252,46 +147,23 @@ int run(const Flags& flags) {
   doc.set("schema", "chortle-bench/1");
   doc.set("k", flags.k);
   doc.set("repeat", flags.repeat);
-  obs::Json bench_rows = obs::Json::array();
-  double total_seconds = 0.0;
-  for (const Row& row : rows) {
-    obs::Json entry = obs::Json::object();
-    entry.set("name", row.name);
-    entry.set("k", row.k);
-    entry.set("luts", row.luts);
-    entry.set("first_pass_luts", row.first_pass_luts);
-    entry.set("depth", row.depth);
-    entry.set("depth_bound", row.depth_bound);
-    entry.set("decomposed_luts", row.decomposed_luts);
-    entry.set("blif_fnv1a64", row.blif_hash);
-    entry.set("seconds", row.seconds);
-    bench_rows.push_back(std::move(entry));
-    total_seconds += row.seconds;
-  }
-  doc.set("benchmarks", std::move(bench_rows));
   obs::Json totals = obs::Json::object();
-  totals.set("rows", static_cast<int>(rows.size()));
+  totals.set("rows", static_cast<int>(bench_rows.as_array().size()));
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("first_pass_luts", static_cast<std::int64_t>(total_first));
   totals.set("depth", static_cast<std::int64_t>(total_depth));
   totals.set("depth_bound", static_cast<std::int64_t>(total_bound));
   totals.set("seconds", total_seconds);
+  doc.set("benchmarks", std::move(bench_rows));
   doc.set("totals", std::move(totals));
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "ext_cutmap: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
+  if (!write_json(doc, flags.out, "ext_cutmap")) return 1;
   std::printf("total: %.4fs  -> %s\n", total_seconds, flags.out.c_str());
 
   if (failures > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
-  return 0;
+  if (flags.check.empty()) return 0;
+  return check_against_baseline(
+      doc, {"ext_cutmap", flags.check, {"luts", "depth"}, {"seconds"},
+            flags.tolerance});
 }
 
 }  // namespace

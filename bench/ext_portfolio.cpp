@@ -24,24 +24,21 @@
 //                    exactly; total wall time must be within
 //                    --tolerance (default 0.15). Exits 3 on a perf
 //                    regression, 1 on any exact mismatch.
+//
+// A flag value that is not wholly a number in range prints the usage
+// and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/fnv.hpp"
-#include "base/timer.hpp"
-#include "bdd/equiv.hpp"
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "chortle/imapper.hpp"
-#include "mcnc/generators.hpp"
-#include "obs/json.hpp"
-#include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
 #include "sim/simulate.hpp"
+#include "sweep.hpp"
 
 namespace chortle::bench {
 namespace {
@@ -59,16 +56,19 @@ Flags parse_flags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
     if (arg == "--out" && i + 1 < argc) {
       flags.out = argv[++i];
     } else if (arg == "--check" && i + 1 < argc) {
       flags.check = argv[++i];
-    } else if (arg == "--k" && i + 1 < argc) {
-      flags.k = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      flags.repeat = std::atoi(argv[++i]);
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      flags.tolerance = std::atof(argv[++i]);
+    } else if (arg == "--k" && base::parse_number(value, flags.k, 2, 6)) {
+      ++i;
+    } else if (arg == "--repeat" &&
+               base::parse_number(value, flags.repeat, 1)) {
+      ++i;
+    } else if (arg == "--tolerance" &&
+               base::parse_number(value, flags.tolerance, 0.0)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: ext_portfolio [--out FILE] [--k N] [--repeat R]\n"
@@ -77,109 +77,7 @@ Flags parse_flags(int argc, char** argv) {
       return flags;
     }
   }
-  if (flags.k < 2 || flags.k > 6 || flags.repeat < 1) {
-    std::fprintf(stderr, "ext_portfolio: bad flag values\n");
-    flags.bad = true;
-  }
   return flags;
-}
-
-struct Row {
-  std::string name;
-  int k = 0;
-  int luts = 0;
-  int depth = 0;
-  std::string winner;
-  int stitched_trees = 0;
-  std::map<std::string, int> solo_luts;  // strategy name -> whole cover
-  std::string blif_hash;
-  double seconds = 0.0;
-};
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "ext_portfolio: cannot open baseline %s\n",
-                 flags.check.c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "ext_portfolio: baseline has no benchmarks array\n");
-    return 2;
-  }
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
-
-  int mismatches = 0;
-  int compared = 0;
-  double base_seconds = 0.0;
-  double current_seconds = 0.0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    const struct {
-      const char* field;
-      int current;
-    } exact[] = {{"luts", row.luts},
-                 {"depth", row.depth},
-                 {"stitched_trees", row.stitched_trees}};
-    for (const auto& check : exact) {
-      if (const obs::Json* v = base_row.find(check.field);
-          v != nullptr && v->as_int() != check.current) {
-        std::fprintf(stderr,
-                     "ext_portfolio: %s mismatch vs baseline: %s K=%d "
-                     "(baseline %lld, current %d)\n",
-                     check.field, row.name.c_str(), row.k,
-                     static_cast<long long>(v->as_int()), check.current);
-        ++mismatches;
-      }
-    }
-    if (const obs::Json* v = base_row.find("winner");
-        v != nullptr && v->as_string() != row.winner) {
-      std::fprintf(stderr,
-                   "ext_portfolio: winner mismatch vs baseline: %s K=%d "
-                   "(baseline %s, current %s)\n",
-                   row.name.c_str(), row.k, v->as_string().c_str(),
-                   row.winner.c_str());
-      ++mismatches;
-    }
-    current_seconds += row.seconds;
-    if (const obs::Json* v = base_row.find("seconds"); v != nullptr)
-      base_seconds += v->as_number();
-  }
-  if (compared == 0) {
-    std::fprintf(stderr,
-                 "ext_portfolio: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  // Wall time is machine-dependent; only the totals are compared, and
-  // only when the baseline is above timing resolution.
-  if (base_seconds >= 0.005) {
-    const double ratio = current_seconds / base_seconds;
-    std::printf("check seconds  baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                base_seconds, current_seconds, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "ext_portfolio: wall time regressed %.0f%% (> %.0f%% "
-                   "tolerance)\n",
-                   (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      return 3;
-    }
-  }
-  return 0;
 }
 
 int run(const Flags& flags) {
@@ -192,32 +90,25 @@ int run(const Flags& flags) {
               "luts", "depth", "winner", "stitch", "chor", "flow", "cut",
               "lib", "t(s)");
 
-  std::vector<Row> rows;
+  obs::Json bench_rows = obs::Json::array();
   int failures = 0;
   long total_luts = 0;
   long total_depth = 0;
   long total_solo_best = 0;
-  for (const std::string& name : mcnc::benchmark_names()) {
-    const sop::SopNetwork source = mcnc::generate(name);
-    const opt::OptimizedDesign design = opt::optimize(source);
-
+  double total_seconds = 0.0;
+  for_each_circuit({}, [&](const Circuit& circuit) {
+    const net::Network& network = circuit.design.network;
     core::Options options;
     options.k = flags.k;
 
-    Row row;
-    row.name = name;
-    row.k = flags.k;
-
     // Solo runs: every strategy alone on the whole network, the
     // attribution columns and the never-worse floor.
+    std::map<std::string, int> solo_luts;  // strategy name -> whole cover
     int solo_best = 0;
-    bool solo_first = true;
     for (const core::IMapper* strategy : lineup) {
-      const core::MapResult solo = strategy->map(design.network, options);
-      row.solo_luts[strategy->name()] = solo.stats.num_luts;
-      if (solo_first || solo.stats.num_luts < solo_best)
-        solo_best = solo.stats.num_luts;
-      solo_first = false;
+      const int luts = strategy->map(network, options).stats.num_luts;
+      solo_luts[strategy->name()] = luts;
+      if (solo_luts.size() == 1 || luts < solo_best) solo_best = luts;
     }
 
     // The race, unbudgeted: deterministic winner set and output.
@@ -225,78 +116,68 @@ int run(const Flags& flags) {
     race.objective = portfolio::Objective::kLuts;
     race.budget_ms = -1;
     portfolio::PortfolioStats stats;
-    core::MapResult result{net::LutCircuit(flags.k), core::MapStats{}};
-    for (int r = 0; r < flags.repeat; ++r) {
-      WallTimer timer;
-      result = portfolio::default_portfolio().map_with(design.network,
-                                                       options, race,
-                                                       &stats);
-      const double seconds = timer.seconds();
-      if (r == 0 || seconds < row.seconds) row.seconds = seconds;
-    }
-    row.luts = result.stats.num_luts;
-    row.depth = result.stats.depth;
-    row.winner = stats.winner;
-    row.stitched_trees = stats.stitched_trees;
+    double seconds = 0.0;
+    const core::MapResult result =
+        min_of_repeat(flags.repeat, &seconds, [&] {
+          return portfolio::default_portfolio().map_with(network, options,
+                                                         race, &stats);
+        });
+    const int luts = result.stats.num_luts;
 
-    bool ok = true;
     // Guarantee 1: racing never loses to the best solo strategy (nor,
     // in particular, to the chortle fallback).
-    if (row.luts > solo_best) {
+    bool ok = luts <= solo_best;
+    if (!ok)
       std::fprintf(stderr,
                    "ext_portfolio: %s portfolio %d LUTs worse than best "
                    "solo %d\n",
-                   name.c_str(), row.luts, solo_best);
-      ok = false;
-    }
+                   circuit.name.c_str(), luts, solo_best);
 
-    // Verify the winning cover: simulation + BDD against the source,
-    // then again through a BLIF round-trip.
+    // The winning cover must verify, also through a BLIF round-trip.
     const std::string blif =
-        blif::write_blif_string(result.circuit, name + "_portfolio");
-    row.blif_hash = base::fnv1a64_hex(blif);
-    if (ok)
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(result.circuit));
-    if (ok) {
-      const bdd::FormalOutcome formal =
-          bdd::check_equivalence(source, result.circuit);
-      ok = formal.status != bdd::FormalOutcome::Status::kDifferent;
-    }
-    if (ok) {
-      const blif::BlifModel round_trip = blif::read_blif_string(blif);
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(round_trip.network));
-    }
+        blif::write_blif_string(result.circuit, circuit.name + "_portfolio");
+    ok = ok && verify_cover(circuit.source, result.circuit, blif);
 
     // Guarantee 2: a starved race (1 ms budget) still returns a
     // verified cover — the uncancellable fallback at worst.
     if (ok) {
       portfolio::PortfolioConfig starved = race;
       starved.budget_ms = 1;
-      const core::MapResult rushed = portfolio::default_portfolio()
-                                         .map_with(design.network, options,
-                                                   starved, nullptr);
-      ok = sim::equivalent(sim::design_of(source),
+      const core::MapResult rushed = portfolio::default_portfolio().map_with(
+          network, options, starved, nullptr);
+      ok = sim::equivalent(sim::design_of(circuit.source),
                            sim::design_of(rushed.circuit));
       if (!ok)
         std::fprintf(stderr,
                      "ext_portfolio: %s 1ms-budget cover failed to verify\n",
-                     name.c_str());
+                     circuit.name.c_str());
     }
     if (!ok) ++failures;
 
     std::printf("%-8s %6d %6d %-9s %6d %6d %6d %6d %6d %9.4f%s\n",
-                name.c_str(), row.luts, row.depth, row.winner.c_str(),
-                row.stitched_trees, row.solo_luts["chortle"],
-                row.solo_luts["flowmap"], row.solo_luts["cutmap"],
-                row.solo_luts["libmap"], row.seconds,
+                circuit.name.c_str(), luts, result.stats.depth,
+                stats.winner.c_str(), stats.stitched_trees,
+                solo_luts["chortle"], solo_luts["flowmap"],
+                solo_luts["cutmap"], solo_luts["libmap"], seconds,
                 ok ? "" : "  VERIFY-FAIL");
-    total_luts += row.luts;
-    total_depth += row.depth;
+    total_luts += luts;
+    total_depth += result.stats.depth;
     total_solo_best += solo_best;
-    rows.push_back(std::move(row));
-  }
+    total_seconds += seconds;
+
+    obs::Json entry = obs::Json::object();
+    entry.set("name", circuit.name);
+    entry.set("k", flags.k);
+    entry.set("luts", luts);
+    entry.set("depth", result.stats.depth);
+    entry.set("winner", stats.winner);
+    entry.set("stitched_trees", stats.stitched_trees);
+    for (const auto& [strategy, solo] : solo_luts)
+      entry.set("luts_" + strategy, solo);
+    entry.set("blif_fnv1a64", base::fnv1a64_hex(blif));
+    entry.set("seconds", seconds);
+    bench_rows.push_back(std::move(entry));
+  });
   std::printf("%-8s %6ld %6ld  (best solo total %ld)\n", "total", total_luts,
               total_depth, total_solo_best);
 
@@ -304,46 +185,25 @@ int run(const Flags& flags) {
   doc.set("schema", "chortle-portfolio-bench/1");
   doc.set("k", flags.k);
   doc.set("repeat", flags.repeat);
-  obs::Json bench_rows = obs::Json::array();
-  double total_seconds = 0.0;
-  for (const Row& row : rows) {
-    obs::Json entry = obs::Json::object();
-    entry.set("name", row.name);
-    entry.set("k", row.k);
-    entry.set("luts", row.luts);
-    entry.set("depth", row.depth);
-    entry.set("winner", row.winner);
-    entry.set("stitched_trees", row.stitched_trees);
-    for (const auto& [strategy, luts] : row.solo_luts)
-      entry.set("luts_" + strategy, luts);
-    entry.set("blif_fnv1a64", row.blif_hash);
-    entry.set("seconds", row.seconds);
-    bench_rows.push_back(std::move(entry));
-    total_seconds += row.seconds;
-  }
-  doc.set("benchmarks", std::move(bench_rows));
   obs::Json totals = obs::Json::object();
-  totals.set("rows", static_cast<int>(rows.size()));
+  totals.set("rows", static_cast<int>(bench_rows.as_array().size()));
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("depth", static_cast<std::int64_t>(total_depth));
   totals.set("best_solo_luts", static_cast<std::int64_t>(total_solo_best));
   totals.set("seconds", total_seconds);
+  doc.set("benchmarks", std::move(bench_rows));
   doc.set("totals", std::move(totals));
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "ext_portfolio: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
+  if (!write_json(doc, flags.out, "ext_portfolio")) return 1;
   std::printf("total: %.4fs  -> %s\n", total_seconds, flags.out.c_str());
 
   if (failures > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
-  return 0;
+  if (flags.check.empty()) return 0;
+  return check_against_baseline(
+      doc, {"ext_portfolio",
+            flags.check,
+            {"luts", "depth", "stitched_trees", "winner"},
+            {"seconds"},
+            flags.tolerance});
 }
 
 }  // namespace

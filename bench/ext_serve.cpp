@@ -27,9 +27,9 @@
 //             [--tolerance X] [--stats-out PATH]
 //             [--server-stats-out PATH] [-h | --help]
 //
-// Each positional must be a positive integer; anything else (a typo,
-// an unknown flag) prints usage and exits 2. --help prints usage and
-// exits 0.
+// Each positional must be a positive integer and each flag value a
+// number in range; anything else (a typo, an unknown flag) prints usage
+// and exits 2. --help prints usage and exits 0.
 //
 // Defaults: 4 clients x 8 requests, 4 workers, k = 4, idle-conns =
 // workers + 4. --json-out writes the chortle-serve-bench/1 document
@@ -62,11 +62,8 @@
 // requests, an event loop racing workers, no reports.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -80,6 +77,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/histogram.hpp"
@@ -244,17 +242,6 @@ void usage(std::FILE* out) {
                "[--server-stats-out PATH] [-h | --help]\n");
 }
 
-/// The whole of `text` as a positive int, or 0 when it is not one.
-int parse_positive(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE || value <= 0 ||
-      value > INT_MAX)
-    return 0;
-  return static_cast<int>(value);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -269,6 +256,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    const char* value = has_value ? argv[i + 1] : "";
+    int number = 0;
     if (arg == "--stats-out" && has_value) {
       stats_out = argv[++i];
     } else if (arg == "--server-stats-out" && has_value) {
@@ -277,15 +266,17 @@ int main(int argc, char** argv) {
       json_out = argv[++i];
     } else if (arg == "--check" && has_value) {
       check_baseline = argv[++i];
-    } else if (arg == "--tolerance" && has_value) {
-      tolerance = std::atof(argv[++i]);
-    } else if (arg == "--idle-conns" && has_value) {
-      idle_conns = std::atoi(argv[++i]);
+    } else if (arg == "--tolerance" &&
+               base::parse_number(value, tolerance, 0.0)) {
+      ++i;
+    } else if (arg == "--idle-conns" &&
+               base::parse_number(value, idle_conns, 0)) {
+      ++i;
     } else if (arg == "-h" || arg == "--help") {
       usage(stdout);
       return 0;
-    } else if (const int value = parse_positive(arg); npos < 4 && value > 0) {
-      positional[npos++] = value;
+    } else if (npos < 4 && base::parse_number(arg, number, 1)) {
+      positional[npos++] = number;
     } else {
       usage(stderr);
       return 2;

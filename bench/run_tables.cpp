@@ -36,31 +36,22 @@
 //                      are matched by field name). Exits 3 on a perf
 //                      regression, 1 on any LUT/BLIF mismatch.
 //
-// A flag value that is not wholly a number ("3x", "2.9" for an integer,
-// "abc") prints the usage and exits 2.
-#include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cmath>
+// A flag value that is not wholly a number in range ("3x", "2.9" for an
+// integer, "abc", "-1" for a count) prints the usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/fnv.hpp"
-#include "base/timer.hpp"
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "chortle/dp_cache.hpp"
 #include "chortle/imapper.hpp"
 #include "chortle/mapper.hpp"
-#include "mcnc/generators.hpp"
-#include "obs/json.hpp"
-#include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
+#include "sweep.hpp"
 
 namespace chortle::bench {
 namespace {
@@ -89,209 +80,57 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-/// Parses all of `text` as a decimal int; false on anything else.
-bool parse_int(const char* text, int& out) {
-  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value < INT_MIN || value > INT_MAX)
-    return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
-/// Parses all of `text` as a finite double; false on anything else.
-bool parse_double(const char* text, double& out) {
-  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (*end != '\0' || errno == ERANGE || !std::isfinite(value)) return false;
-  out = value;
-  return true;
-}
-
 Flags parse_flags(int argc, char** argv) {
   Flags flags;
-  auto need_value = [&](int i) { return i + 1 < argc; };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--out" && need_value(i)) {
+    const bool has_value = i + 1 < argc;
+    const char* value = has_value ? argv[i + 1] : "";
+    if (arg == "--out" && has_value) {
       flags.out = argv[++i];
-    } else if (arg == "--mapper" && need_value(i)) {
+    } else if (arg == "--mapper" && has_value) {
       flags.mapper = argv[++i];
-    } else if (arg == "--benchmarks" && need_value(i)) {
+    } else if (arg == "--benchmarks" && has_value) {
       flags.benchmarks = split_csv(argv[++i]);
-    } else if (arg == "--kmin" && need_value(i) &&
-               parse_int(argv[i + 1], flags.kmin)) {
+    } else if (arg == "--kmin" && base::parse_number(value, flags.kmin, 2, 6)) {
       ++i;
-    } else if (arg == "--kmax" && need_value(i) &&
-               parse_int(argv[i + 1], flags.kmax)) {
+    } else if (arg == "--kmax" && base::parse_number(value, flags.kmax, 2, 6)) {
       ++i;
-    } else if (arg == "--repeat" && need_value(i) &&
-               parse_int(argv[i + 1], flags.repeat)) {
+    } else if (arg == "--repeat" &&
+               base::parse_number(value, flags.repeat, 1)) {
       ++i;
-    } else if (arg == "--label" && need_value(i)) {
+    } else if (arg == "--label" && has_value) {
       flags.label = argv[++i];
-    } else if (arg == "--golden-out" && need_value(i)) {
+    } else if (arg == "--golden-out" && has_value) {
       flags.golden_out = argv[++i];
-    } else if (arg == "--check" && need_value(i)) {
+    } else if (arg == "--check" && has_value) {
       flags.check = argv[++i];
-    } else if (arg == "--tolerance" && need_value(i) &&
-               parse_double(argv[i + 1], flags.tolerance)) {
+    } else if (arg == "--tolerance" &&
+               base::parse_number(value, flags.tolerance, 0.0)) {
       ++i;
-    } else if (arg == "--min-seconds" && need_value(i) &&
-               parse_double(argv[i + 1], flags.min_seconds)) {
+    } else if (arg == "--min-seconds" &&
+               base::parse_number(value, flags.min_seconds, 0.0)) {
       ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: run_tables [--out FILE] [--mapper NAME]\n"
-                   "                  [--benchmarks a,b,c]\n"
-                   "                  [--kmin N] [--kmax N]\n"
-                   "                  [--repeat R] [--label STR]\n"
-                   "                  [--golden-out FILE]\n"
-                   "                  [--check FILE] [--tolerance F]\n"
-                   "                  [--min-seconds F]\n");
       flags.bad = true;
-      return flags;
+      break;
     }
   }
-  if (flags.kmin < 2 || flags.kmax > 6 || flags.kmin > flags.kmax ||
-      flags.repeat < 1 || flags.tolerance < 0 || flags.min_seconds < 0) {
-    std::fprintf(stderr, "run_tables: bad flag values\n");
+  if (flags.bad || flags.kmin > flags.kmax) {
+    std::fprintf(stderr,
+                 "usage: run_tables [--out FILE] [--mapper NAME]\n"
+                 "                  [--benchmarks a,b,c]\n"
+                 "                  [--kmin N] [--kmax N]\n"
+                 "                  [--repeat R] [--label STR]\n"
+                 "                  [--golden-out FILE]\n"
+                 "                  [--check FILE] [--tolerance F]\n"
+                 "                  [--min-seconds F]\n");
     flags.bad = true;
   }
   return flags;
 }
 
-struct Row {
-  std::string name;
-  int k = 0;
-  int luts = 0;
-  int depth = 0;
-  std::string blif_hash;  // fnv1a64 of the serial BLIF, hex
-  double seconds_serial = 0.0;
-  double seconds_cache_cold = 0.0;
-  double seconds_cache_warm = 0.0;
-};
-
-/// Times `repeat` runs of map_network and returns the minimum seconds;
-/// the last result's circuit is written out as BLIF text.
-template <typename MapFn>
-double time_mapping(int repeat, MapFn map, std::string* blif_out,
-                    int* luts_out, int* depth_out = nullptr) {
-  double best = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    WallTimer timer;
-    const core::MapResult result = map();
-    const double seconds = timer.seconds();
-    if (r == 0 || seconds < best) best = seconds;
-    if (r == repeat - 1) {
-      if (blif_out != nullptr)
-        *blif_out = blif::write_blif_string(result.circuit, "bench");
-      if (luts_out != nullptr) *luts_out = result.stats.num_luts;
-      if (depth_out != nullptr) *depth_out = result.stats.depth;
-    }
-  }
-  return best;
-}
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "run_tables: cannot open baseline %s\n",
-                 flags.check.c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "run_tables: baseline has no benchmarks array\n");
-    return 2;
-  }
-
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
-
-  int mismatches = 0;
-  struct ModeTotal {
-    const char* field;
-    double current = 0.0;
-    double base = 0.0;
-  };
-  ModeTotal totals[] = {
-      {"seconds_serial"}, {"seconds_cache_cold"}, {"seconds_cache_warm"}};
-  int compared = 0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    if (const obs::Json* luts = base_row.find("luts");
-        luts != nullptr && luts->as_int() != row.luts) {
-      std::fprintf(stderr,
-                   "run_tables: LUT count mismatch vs baseline: %s K=%d "
-                   "(baseline %lld, current %d)\n",
-                   row.name.c_str(), row.k,
-                   static_cast<long long>(luts->as_int()), row.luts);
-      ++mismatches;
-    }
-    // Depth is exact, like the LUT count — but older baselines predate
-    // the field, so only compare when the baseline row carries it.
-    if (const obs::Json* depth = base_row.find("depth");
-        depth != nullptr && depth->as_int() != row.depth) {
-      std::fprintf(stderr,
-                   "run_tables: depth mismatch vs baseline: %s K=%d "
-                   "(baseline %lld, current %d)\n",
-                   row.name.c_str(), row.k,
-                   static_cast<long long>(depth->as_int()), row.depth);
-      ++mismatches;
-    }
-    const double current[] = {row.seconds_serial, row.seconds_cache_cold,
-                              row.seconds_cache_warm};
-    for (int m = 0; m < 3; ++m) {
-      totals[m].current += current[m];
-      if (const obs::Json* v = base_row.find(totals[m].field);
-          v != nullptr)
-        totals[m].base += v->as_number();
-    }
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "run_tables: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  int regressions = 0;
-  for (const ModeTotal& t : totals) {
-    if (t.base < flags.min_seconds) continue;  // below timing resolution
-    const double ratio = t.current / t.base;
-    std::printf("check %-18s baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                t.field, t.base, t.current, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "run_tables: %s regressed %.0f%% (> %.0f%% tolerance)\n",
-                   t.field, (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      ++regressions;
-    }
-  }
-  return regressions > 0 ? 3 : 0;
-}
-
 int run(const Flags& flags) {
-  std::vector<std::string> names = flags.benchmarks;
-  if (names.empty()) names = mcnc::benchmark_names();
-
   // Any backend other than chortle is timed through the registry in
   // serial mode only: the cache columns exercise a chortle-specific seam
   // (the cross-request DP cache) that the other mappers do not share.
@@ -306,73 +145,79 @@ int run(const Flags& flags) {
     }
   }
 
-  std::vector<Row> rows;
+  obs::Json bench_rows = obs::Json::array();
+  std::string golden = "# benchmark\tk\tluts\tblif_fnv1a64\n";
+  double total[3] = {0, 0, 0};  // serial, cache_cold, cache_warm
+  long total_luts = 0;
   int blif_mismatches = 0;
-  for (const std::string& name : names) {
-    const sop::SopNetwork source = mcnc::generate(name);
-    const opt::OptimizedDesign design = opt::optimize(source);
+  const auto blif_of = [](const core::MapResult& result) {
+    return blif::write_blif_string(result.circuit, "bench");
+  };
+  for_each_circuit(flags.benchmarks, [&](const Circuit& circuit) {
+    const net::Network& network = circuit.design.network;
     for (int k = flags.kmin; k <= flags.kmax; ++k) {
-      Row row;
-      row.name = name;
-      row.k = k;
-
-      if (backend != nullptr) {
-        if (k < backend->min_k() || k > backend->max_k()) continue;
-        core::Options options;
-        options.k = k;
-        std::string blif;
-        row.seconds_serial = time_mapping(
-            flags.repeat,
-            [&] { return backend->map(design.network, options); }, &blif,
-            &row.luts, &row.depth);
-        row.blif_hash = base::fnv1a64_hex(blif);
-        std::printf("%-8s K=%d  luts %5d  depth %3d  %s %8.4fs\n",
-                    name.c_str(), k, row.luts, row.depth, backend->name(),
-                    row.seconds_serial);
-        rows.push_back(std::move(row));
+      if (backend != nullptr &&
+          (k < backend->min_k() || k > backend->max_k()))
         continue;
-      }
-
-      core::Options serial;
-      serial.k = k;
-      std::string serial_blif;
-      row.seconds_serial = time_mapping(
-          flags.repeat,
-          [&] { return core::map_network(design.network, serial); },
-          &serial_blif, &row.luts, &row.depth);
-      row.blif_hash = base::fnv1a64_hex(serial_blif);
-
-      core::DpCache cache;
-      std::string cold_blif;
-      row.seconds_cache_cold = time_mapping(
-          1, [&] { return core::map_network(design.network, serial, &cache); },
-          &cold_blif, nullptr);
-      std::string warm_blif;
-      row.seconds_cache_warm = time_mapping(
-          flags.repeat,
-          [&] { return core::map_network(design.network, serial, &cache); },
-          &warm_blif, nullptr);
-
-      for (const auto& [mode, blif] :
-           {std::pair<const char*, const std::string*>{"cache_cold",
-                                                       &cold_blif},
-            {"cache_warm", &warm_blif}}) {
-        if (*blif != serial_blif) {
-          std::fprintf(stderr,
-                       "run_tables: %s K=%d: %s BLIF differs from serial\n",
-                       name.c_str(), k, mode);
-          ++blif_mismatches;
+      core::Options options;
+      options.k = k;
+      double seconds[3] = {0, 0, 0};
+      const core::MapResult serial =
+          min_of_repeat(flags.repeat, &seconds[0], [&] {
+            return backend != nullptr ? backend->map(network, options)
+                                      : core::map_network(network, options);
+          });
+      const std::string serial_blif = blif_of(serial);
+      const int luts = serial.stats.num_luts;
+      const int depth = serial.stats.depth;
+      if (backend != nullptr) {
+        std::printf("%-8s K=%d  luts %5d  depth %3d  %s %8.4fs\n",
+                    circuit.name.c_str(), k, luts, depth, backend->name(),
+                    seconds[0]);
+      } else {
+        // Every cache mode must emit the serial mapping byte for byte.
+        core::DpCache cache;
+        const auto through_cache = [&] {
+          return core::map_network(network, options, &cache);
+        };
+        const std::string cold_blif =
+            blif_of(min_of_repeat(1, &seconds[1], through_cache));
+        const std::string warm_blif =
+            blif_of(min_of_repeat(flags.repeat, &seconds[2], through_cache));
+        for (const auto& [mode, blif] :
+             {std::pair{"cache_cold", &cold_blif},
+              std::pair{"cache_warm", &warm_blif}}) {
+          if (*blif != serial_blif) {
+            std::fprintf(stderr,
+                         "run_tables: %s K=%d: %s BLIF differs from serial\n",
+                         circuit.name.c_str(), k, mode);
+            ++blif_mismatches;
+          }
         }
+        std::printf(
+            "%-8s K=%d  luts %5d  depth %3d  serial %8.4fs  cold %8.4fs  "
+            "warm %8.4fs\n",
+            circuit.name.c_str(), k, luts, depth, seconds[0], seconds[1],
+            seconds[2]);
       }
 
-      std::printf(
-          "%-8s K=%d  luts %5d  depth %3d  serial %8.4fs  cold %8.4fs  "
-          "warm %8.4fs\n",
-          name.c_str(), k, row.luts, row.depth, row.seconds_serial,
-          row.seconds_cache_cold, row.seconds_cache_warm);
-      rows.push_back(std::move(row));
+      const std::string hash = base::fnv1a64_hex(serial_blif);
+      obs::Json entry = obs::Json::object();
+      entry.set("name", circuit.name);
+      entry.set("k", k);
+      entry.set("luts", luts);
+      entry.set("depth", depth);
+      entry.set("blif_fnv1a64", hash);
+      entry.set("seconds_serial", seconds[0]);
+      entry.set("seconds_cache_cold", seconds[1]);
+      entry.set("seconds_cache_warm", seconds[2]);
+      bench_rows.push_back(std::move(entry));
+      golden += circuit.name + "\t" + std::to_string(k) + "\t" +
+                std::to_string(luts) + "\t" + hash + "\n";
+      for (int m = 0; m < 3; ++m) total[m] += seconds[m];
+      total_luts += luts;
     }
-  }
+  });
 
   obs::Json doc = obs::Json::object();
   doc.set("schema", "chortle-bench/2");
@@ -383,63 +228,37 @@ int run(const Flags& flags) {
   doc.set("kmin", flags.kmin);
   doc.set("kmax", flags.kmax);
   doc.set("repeat", flags.repeat);
-  obs::Json bench_rows = obs::Json::array();
-  double total[3] = {0, 0, 0};
-  long total_luts = 0;
-  for (const Row& row : rows) {
-    obs::Json entry = obs::Json::object();
-    entry.set("name", row.name);
-    entry.set("k", row.k);
-    entry.set("luts", row.luts);
-    entry.set("depth", row.depth);
-    entry.set("blif_fnv1a64", row.blif_hash);
-    entry.set("seconds_serial", row.seconds_serial);
-    entry.set("seconds_cache_cold", row.seconds_cache_cold);
-    entry.set("seconds_cache_warm", row.seconds_cache_warm);
-    bench_rows.push_back(std::move(entry));
-    total[0] += row.seconds_serial;
-    total[1] += row.seconds_cache_cold;
-    total[2] += row.seconds_cache_warm;
-    total_luts += row.luts;
-  }
-  doc.set("benchmarks", std::move(bench_rows));
   obs::Json totals = obs::Json::object();
-  totals.set("rows", static_cast<int>(rows.size()));
+  totals.set("rows", static_cast<int>(bench_rows.as_array().size()));
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("seconds_serial", total[0]);
   totals.set("seconds_cache_cold", total[1]);
   totals.set("seconds_cache_warm", total[2]);
+  doc.set("benchmarks", std::move(bench_rows));
   doc.set("totals", std::move(totals));
-
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "run_tables: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
+  if (!write_json(doc, flags.out, "run_tables")) return 1;
   std::printf("total: serial %.4fs  cold %.4fs  warm %.4fs  -> %s\n",
               total[0], total[1], total[2], flags.out.c_str());
 
   if (!flags.golden_out.empty()) {
     std::ofstream out(flags.golden_out);
+    out << golden;
     if (!out) {
       std::fprintf(stderr, "run_tables: cannot write %s\n",
                    flags.golden_out.c_str());
       return 1;
     }
-    out << "# benchmark\tk\tluts\tblif_fnv1a64\n";
-    for (const Row& row : rows)
-      out << row.name << "\t" << row.k << "\t" << row.luts << "\t"
-          << row.blif_hash << "\n";
   }
 
   if (blif_mismatches > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
-  return 0;
+  if (flags.check.empty()) return 0;
+  return check_against_baseline(
+      doc, {"run_tables",
+            flags.check,
+            {"luts", "depth"},
+            {"seconds_serial", "seconds_cache_cold", "seconds_cache_warm"},
+            flags.tolerance,
+            flags.min_seconds});
 }
 
 }  // namespace

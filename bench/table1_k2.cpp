@@ -1,6 +1,6 @@
 // Reproduces Table 1 of the paper: Chortle vs the MIS II-style
 // baseline on the MCNC-89 benchmark substitutes at K=2.
-#include "table_common.hpp"
+#include "sweep.hpp"
 
 int main(int argc, char** argv) {
   return chortle::bench::run_table(2, "Table 1", argc, argv);

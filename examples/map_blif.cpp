@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "blif/verilog.hpp"
 #include "chortle/imapper.hpp"
@@ -63,12 +64,16 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "-k" && i + 1 < argc) {
-      k = std::atoi(argv[++i]);
+    // A numeric value that is not wholly a number in range ("4x") gets
+    // the usage before any input is read.
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    if (arg == "-k" && base::parse_number(value, k, 0)) {
+      ++i;
     } else if (arg == "-o" && i + 1 < argc) {
       output_path = argv[++i];
-    } else if (arg == "--split" && i + 1 < argc) {
-      split_threshold = std::atoi(argv[++i]);
+    } else if (arg == "--split" &&
+               base::parse_number(value, split_threshold, 0)) {
+      ++i;
     } else if (arg == "--mapper" && i + 1 < argc) {
       mapper_name = argv[++i];
     } else if (arg.rfind("--mapper=", 0) == 0) {
@@ -77,10 +82,12 @@ int main(int argc, char** argv) {
       objective_name = argv[++i];
     } else if (arg.rfind("--objective=", 0) == 0) {
       objective_name = arg.substr(12);
-    } else if (arg == "--portfolio-budget-ms" && i + 1 < argc) {
-      portfolio_budget_ms = std::atoll(argv[++i]);
-    } else if (arg.rfind("--portfolio-budget-ms=", 0) == 0) {
-      portfolio_budget_ms = std::atoll(arg.c_str() + 22);
+    } else if (arg == "--portfolio-budget-ms" &&
+               base::parse_number(value, portfolio_budget_ms)) {
+      ++i;
+    } else if (arg.rfind("--portfolio-budget-ms=", 0) == 0 &&
+               base::parse_number(arg.substr(22), portfolio_budget_ms)) {
+      // The value came with the flag.
     } else if (arg == "--baseline") {
       mapper_name = "libmap";
     } else if (arg == "--no-optimize") {

@@ -1,8 +1,5 @@
 #include "chortle/imapper.hpp"
 
-#include <map>
-#include <mutex>
-
 #include "base/check.hpp"
 #include "cutmap/cutmap.hpp"
 #include "flowmap/flowmap.hpp"
@@ -39,32 +36,13 @@ class LibMapMapper final : public IMapper {
                 const Options& options) const override {
     require_k_in_range(*this, options.k);
     const libmap::BaselineResult result =
-        libmap::map_with_library(network, library_for(options.k));
+        libmap::map_with_library(network, libmap::library_for(options.k));
     MapResult out{result.circuit, MapStats{}};
     out.stats.num_luts = result.stats.num_luts;
     out.stats.num_trees = result.stats.num_trees;
     out.stats.depth = result.stats.depth;
     out.stats.seconds = result.stats.seconds;
     return out;
-  }
-
- private:
-  /// One library per K per process (complete for K <= 3, level-0
-  /// kernels above — the same policy as the fuzz oracle). Locked: the
-  /// portfolio race maps with this backend from several pool threads at
-  /// once. Entries are never erased, so the returned reference stays
-  /// valid after the lock is released.
-  static const libmap::Library& library_for(int k) {
-    static std::mutex mu;
-    static std::map<int, libmap::Library> cache;
-    const std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(k);
-    if (it == cache.end())
-      it = cache
-               .emplace(k, k <= 3 ? libmap::Library::complete(k)
-                                  : libmap::Library::level0_kernels(k))
-               .first;
-    return it->second;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "fuzz/oracle.hpp"
 
 #include <exception>
-#include <map>
 #include <sstream>
 
 #include "bdd/equiv.hpp"
@@ -32,20 +31,6 @@ std::string describe_witness(const bdd::FormalOutcome& outcome) {
   os << "output '" << outcome.output_name << "' differs under inputs ";
   for (bool bit : outcome.witness) os << (bit ? '1' : '0');
   return os.str();
-}
-
-/// The baseline mapper's library for a given K, built once per process
-/// (complete for K <= 3, level-0 kernels above, as the paper does).
-const libmap::Library& library_for(int k) {
-  static std::map<int, libmap::Library> cache;
-  auto it = cache.find(k);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(k, k <= 3 ? libmap::Library::complete(k)
-                                : libmap::Library::level0_kernels(k))
-             .first;
-  }
-  return it->second;
 }
 
 /// A copy of `circuit` with one truth-table bit flipped (the injected
@@ -268,7 +253,7 @@ class OracleRun {
       }
       case Backend::kLibMap: {
         const libmap::BaselineResult result = libmap::map_with_library(
-            mapper_input, library_for(case_.options.k));
+            mapper_input, libmap::library_for(case_.options.k));
         check_circuit("libmap", result.circuit, result.stats.num_luts);
         break;
       }

@@ -1,8 +1,9 @@
-#include <functional>
 #include "libmap/library.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
+#include <map>
+#include <mutex>
 
 #include "base/check.hpp"
 #include "truth/canonical.hpp"
@@ -102,52 +103,57 @@ Library Library::level0_kernels(int k) {
     enumerate(m, m);
 
     for (const std::vector<int>& cubes : partitions) {
-      // Assign each of the m literal slots a (variable, phase) over at
-      // most m variables; brute force with constraint filtering, with
-      // the NPN-closed class set deduplicating equivalent choices.
-      std::vector<int> slots(static_cast<std::size_t>(m), 0);  // literal ids
+      // Assign each of the m literal slots a literal id (variable * 2 +
+      // phase) over at most m variables, so that each SOP is produced
+      // once: a cube's literals strictly increase and never share a
+      // variable, no literal is used twice, and equal-size cubes (which
+      // are adjacent, the partition being descending) are ordered by
+      // their first literal. The library is a union of NPN orbits, so
+      // which representative of an SOP is enumerated does not matter.
+      std::vector<std::size_t> cube_of;  // slot -> cube index
+      std::vector<std::size_t> cube_start;
+      for (std::size_t c = 0; c < cubes.size(); ++c) {
+        cube_start.push_back(cube_of.size());
+        cube_of.insert(cube_of.end(), static_cast<std::size_t>(cubes[c]), c);
+      }
+      const std::size_t num_slots = cube_of.size();
       const int num_literals = 2 * m;
-      const std::function<void(int)> fill = [&](int slot) {
-        if (slot == m) {
-          // Constraints: within a cube distinct variables; across cubes
-          // no repeated identical literal.
-          std::vector<int> all;
-          int offset = 0;
-          for (int size : cubes) {
-            std::vector<int> vars;
-            for (int i = 0; i < size; ++i)
-              vars.push_back(slots[static_cast<std::size_t>(offset + i)] / 2);
-            std::sort(vars.begin(), vars.end());
-            if (std::adjacent_find(vars.begin(), vars.end()) != vars.end())
-              return;
-            offset += size;
-          }
-          std::vector<int> sorted = slots;
-          std::sort(sorted.begin(), sorted.end());
-          if (std::adjacent_find(sorted.begin(), sorted.end()) !=
-              sorted.end())
-            return;  // identical literal in two cubes
+      std::vector<int> slots(num_slots, 0);
+      std::vector<bool> used(static_cast<std::size_t>(num_literals), false);
+      const std::function<void(std::size_t)> fill = [&](std::size_t slot) {
+        if (slot == num_slots) {
           // Evaluate the SOP over m variables.
           TruthTable fn = TruthTable::zeros(m);
-          offset = 0;
-          for (int size : cubes) {
-            TruthTable term = TruthTable::ones(m);
-            for (int i = 0; i < size; ++i) {
-              const int lit = slots[static_cast<std::size_t>(offset + i)];
-              const TruthTable v = TruthTable::var(lit / 2, m);
-              term &= (lit & 1) ? ~v : v;
+          TruthTable term = TruthTable::ones(m);
+          for (std::size_t s = 0; s < num_slots; ++s) {
+            const TruthTable v = TruthTable::var(slots[s] / 2, m);
+            term &= (slots[s] & 1) ? ~v : v;
+            if (s + 1 == num_slots || cube_of[s + 1] != cube_of[s]) {
+              fn |= term;
+              term = TruthTable::ones(m);
             }
-            fn |= term;
-            offset += size;
           }
           const TruthTable compacted = compact(fn);
           if (compacted.num_vars() >= 1 && !compacted.is_const())
             lib.add_cell(compacted);
           return;
         }
-        for (int lit = 0; lit < num_literals; ++lit) {
-          slots[static_cast<std::size_t>(slot)] = lit;
+        const std::size_t cube = cube_of[slot];
+        const bool first = slot == cube_start[cube];
+        const int previous = first ? -1 : slots[slot - 1];
+        int lowest = previous + 1;
+        if (first && cube > 0 && cubes[cube] == cubes[cube - 1])
+          lowest = slots[cube_start[cube - 1]] + 1;
+        for (int lit = lowest; lit < num_literals; ++lit) {
+          // Literals of one variable are adjacent ids, so with increasing
+          // order a repeated variable can only follow its other phase.
+          if (used[static_cast<std::size_t>(lit)] ||
+              (!first && lit / 2 == previous / 2))
+            continue;
+          used[static_cast<std::size_t>(lit)] = true;
+          slots[slot] = lit;
           fill(slot + 1);
+          used[static_cast<std::size_t>(lit)] = false;
         }
       };
       fill(0);
@@ -165,6 +171,19 @@ bool Library::matches(const truth::TruthTable& function) const {
   if (complete_) return true;
   return by_arity_[static_cast<std::size_t>(m)].count(
              compacted.low_word()) != 0;
+}
+
+const Library& library_for(int k) {
+  static std::mutex mu;
+  static std::map<int, Library> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find(k);
+  if (it == cache.end())
+    it = cache
+             .emplace(k, k <= 3 ? Library::complete(k)
+                                : Library::level0_kernels(k))
+             .first;
+  return it->second;
 }
 
 std::vector<std::size_t> Library::class_counts() const {

@@ -13,6 +13,10 @@
 //    K=4 by the paper's count); instead "the set of all level-0 kernels
 //    with K or fewer literals and their duals" — read-once-per-literal
 //    two-level forms, whose duals arise automatically from NPN closure.
+//
+// library_for(k) applies that policy and keeps one library per K for
+// the whole process; every baseline caller (the libmap backend, the
+// fuzz oracle, the table benches) shares it.
 #pragma once
 
 #include <cstdint>
@@ -64,5 +68,12 @@ class Library {
   // classes_[m]: canonical representatives, for reporting.
   std::vector<std::unordered_set<std::uint64_t>> classes_;
 };
+
+/// The paper's library for `k` (complete for K <= 3, level-0 kernels
+/// for K = 4..6), built on first use and shared by the whole process.
+/// Thread-safe: the portfolio race maps with it from several pool
+/// threads at once. Entries are never erased, so the reference stays
+/// valid for the life of the process.
+const Library& library_for(int k);
 
 }  // namespace chortle::libmap

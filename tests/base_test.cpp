@@ -7,6 +7,7 @@
 
 #include "base/check.hpp"
 #include "base/logging.hpp"
+#include "base/parse.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "base/timer.hpp"
@@ -31,6 +32,37 @@ TEST(Check, MacrosThrowTypedExceptions) {
     EXPECT_NE(std::string(e.what()).find("base_test.cpp"),
               std::string::npos);
   }
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeNumbersInRange) {
+  int i = 7;
+  EXPECT_TRUE(base::parse_number("42", i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(base::parse_number("-3", i));
+  EXPECT_EQ(i, -3);
+  for (const char* bad : {"", "4x", "x", " 4", "4 ", "+4", "0x10", "2.9",
+                          "99999999999"})
+    EXPECT_FALSE(base::parse_number(bad, i)) << bad;
+  EXPECT_EQ(i, -3);  // untouched on failure
+  EXPECT_TRUE(base::parse_number("6", i, 2, 6));
+  EXPECT_FALSE(base::parse_number("7", i, 2, 6));
+  EXPECT_FALSE(base::parse_number("1", i, 2, 6));
+  // No sign where the value must be non-negative, not even "-0".
+  EXPECT_FALSE(base::parse_number("-1", i, 0));
+  EXPECT_FALSE(base::parse_number("-0", i, 0));
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(base::parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_FALSE(base::parse_number("-1", u));
+
+  double d = 0.0;
+  EXPECT_TRUE(base::parse_number("0.15", d, 0.0));
+  EXPECT_DOUBLE_EQ(d, 0.15);
+  EXPECT_TRUE(base::parse_number("1e-3", d, 0.0));
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+  for (const char* bad : {"abc", "0.1x", "nan", "inf", "-0.5", "1e999"})
+    EXPECT_FALSE(base::parse_number(bad, d, 0.0)) << bad;
 }
 
 TEST(Rng, DeterministicPerSeed) {

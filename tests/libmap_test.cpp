@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "chortle/mapper.hpp"
 #include "helpers.hpp"
 #include "libmap/library.hpp"
@@ -97,6 +100,39 @@ TEST(Library, DualsArePresentViaNpnClosure) {
   EXPECT_TRUE(k4.matches(~((a & b) | (c & d))));
 }
 
+// The level-0 libraries' contents, pinned per K: NPN classes by support
+// size and the expanded raw-table count.
+TEST(Library, Level0KernelLibrarySizesArePinned) {
+  const std::vector<std::vector<std::size_t>> classes = {
+      {0, 0, 1},
+      {0, 0, 1, 2},
+      {0, 0, 2, 3, 4},
+      {0, 0, 2, 5, 6, 6},
+      {0, 0, 2, 6, 12, 11, 10}};
+  const std::size_t expanded[] = {8, 72, 546, 4650, 41778};
+  for (int k = 2; k <= 6; ++k) {
+    const Library lib = Library::level0_kernels(k);
+    EXPECT_EQ(lib.class_counts(), classes[static_cast<std::size_t>(k - 2)])
+        << "K=" << k;
+    EXPECT_EQ(lib.expanded_size(), expanded[k - 2]) << "K=" << k;
+  }
+}
+
+TEST(Library, LibraryForIsOneSharedLibraryPerK) {
+  EXPECT_TRUE(library_for(2).is_complete());
+  EXPECT_TRUE(library_for(3).is_complete());
+  EXPECT_FALSE(library_for(4).is_complete());
+  EXPECT_EQ(library_for(4).k(), 4);
+  // Concurrent first uses (the portfolio race's pool threads) all get
+  // the one library.
+  std::vector<const Library*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    threads.emplace_back([&seen, t] { seen[t] = &library_for(5); });
+  for (std::thread& thread : threads) thread.join();
+  for (const Library* lib : seen) EXPECT_EQ(lib, &library_for(5));
+}
+
 TEST(SubjectGraph, IsBinaryAndEquivalent) {
   for (std::uint64_t seed = 50; seed < 56; ++seed) {
     const net::Network n = testing::random_dag(10, 6, 60, seed);
@@ -185,8 +221,7 @@ TEST(BaselineMapper, ReconvergentModeVerifiesOnRandomDags) {
   for (std::uint64_t seed = 400; seed < 405; ++seed) {
     const net::Network n = testing::random_dag(12, 8, 70, seed);
     for (int k : {3, 5}) {
-      const Library lib =
-          k <= 3 ? Library::complete(k) : Library::level0_kernels(k);
+      const Library& lib = library_for(k);
       const BaselineResult strong = map_with_library(n, lib, reconvergent);
       const BaselineResult structural = map_with_library(n, lib);
       EXPECT_TRUE(sim::equivalent(sim::design_of(n),

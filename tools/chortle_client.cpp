@@ -29,6 +29,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/trace.hpp"
@@ -88,30 +89,36 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // A numeric value that is not wholly a number in range gets the
+    // usage, like an unknown flag.
+    const char* value = has_value ? argv[i + 1] : "";
     if (arg == "--unix" && has_value) {
       unix_path = argv[++i];
     } else if (arg == "--host" && has_value) {
       host = argv[++i];
-    } else if (arg == "--port" && has_value) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "-k" && has_value) {
-      request.k = std::atoi(argv[++i]);
-    } else if (arg == "--split" && has_value) {
-      request.split_threshold = std::atoi(argv[++i]);
+    } else if (arg == "--port" && base::parse_number(value, port, 0, 65535)) {
+      ++i;
+    } else if (arg == "-k" && base::parse_number(value, request.k, 0)) {
+      ++i;
+    } else if (arg == "--split" &&
+               base::parse_number(value, request.split_threshold, 0)) {
+      ++i;
     } else if (arg == "--no-search") {
       request.search_decompositions = false;
     } else if (arg == "--optimize") {
       request.optimize = true;
     } else if (arg == "--verify") {
       request.verify = true;
-    } else if (arg == "--deadline-ms" && has_value) {
-      request.deadline_ms = std::atoll(argv[++i]);
+    } else if (arg == "--deadline-ms" &&
+               base::parse_number(value, request.deadline_ms)) {
+      ++i;
     } else if (arg == "--mapper" && has_value) {
       request.mapper = argv[++i];
     } else if (arg == "--objective" && has_value) {
       request.objective = argv[++i];
-    } else if (arg == "--portfolio-budget-ms" && has_value) {
-      request.portfolio_budget_ms = std::atoll(argv[++i]);
+    } else if (arg == "--portfolio-budget-ms" &&
+               base::parse_number(value, request.portfolio_budget_ms)) {
+      ++i;
     } else if (arg == "--id" && has_value) {
       request.id = argv[++i];
     } else if (arg == "-o" && has_value) {

@@ -37,6 +37,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -46,6 +47,7 @@
 #include <unistd.h>
 
 #include "base/logging.hpp"
+#include "base/parse.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 
@@ -120,27 +122,36 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // A numeric value that is not wholly a number in range gets the
+    // usage, like an unknown flag.
+    const char* value = has_value ? argv[i + 1] : "";
+    std::size_t cache_mb = 0;
     if (arg == "--unix" && has_value) {
       config.unix_path = argv[++i];
-    } else if (arg == "--port" && has_value) {
-      config.tcp_port = std::atoi(argv[++i]);
-    } else if (arg == "--workers" && has_value) {
-      config.workers = std::atoi(argv[++i]);
-    } else if (arg == "--queue" && has_value) {
-      config.queue_capacity =
-          static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--max-conns" && has_value) {
-      config.max_connections =
-          static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--idle-timeout-ms" && has_value) {
-      config.idle_timeout_ms = std::atol(argv[++i]);
-    } else if (arg == "--cache-mb" && has_value) {
-      config.cache_bytes =
-          static_cast<std::size_t>(std::atol(argv[++i])) << 20;
+    } else if (arg == "--port" &&
+               base::parse_number(value, config.tcp_port, 0, 65535)) {
+      ++i;
+    } else if (arg == "--workers" &&
+               base::parse_number(value, config.workers, 1)) {
+      ++i;
+    } else if (arg == "--queue" &&
+               base::parse_number(value, config.queue_capacity)) {
+      ++i;
+    } else if (arg == "--max-conns" &&
+               base::parse_number(value, config.max_connections)) {
+      ++i;
+    } else if (arg == "--idle-timeout-ms" &&
+               base::parse_number(value, config.idle_timeout_ms)) {
+      ++i;
+    } else if (arg == "--cache-mb" &&
+               base::parse_number(value, cache_mb, 0, SIZE_MAX >> 20)) {
+      config.cache_bytes = cache_mb << 20;
+      ++i;
     } else if (arg == "--stats-out" && has_value) {
       stats_out = argv[++i];
-    } else if (arg == "--stats-log-s" && has_value) {
-      stats_log_s = std::atoi(argv[++i]);
+    } else if (arg == "--stats-log-s" &&
+               base::parse_number(value, stats_log_s, 0)) {
+      ++i;
     } else if (arg == "-h" || arg == "--help") {
       usage();
       return 0;

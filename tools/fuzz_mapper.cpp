@@ -30,7 +30,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
+#include "base/parse.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/kernel_check.hpp"
 #include "obs/report.hpp"
@@ -78,25 +80,6 @@ std::vector<chortle::fuzz::Backend> parse_backends(const std::string& text) {
   return backends;
 }
 
-/// Parses a non-negative decimal or exits with a usage error — a typo'd
-/// count must not silently become "0 runs, 0 failures".
-std::uint64_t parse_number(const char* flag, const std::string& text) {
-  std::size_t consumed = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(text, &consumed, 10);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != text.size() || text.empty()) {
-    std::fprintf(stderr, "fuzz_mapper: %s expects a number, got '%s'\n",
-                 flag, text.c_str());
-    usage();
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,10 +94,13 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--runs" && i + 1 < argc) {
-      options.runs = static_cast<int>(parse_number("--runs", argv[++i]));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = parse_number("--seed", argv[++i]);
+    // A count that is not wholly a number in range gets the usage: it
+    // must not silently become "0 runs, 0 failures".
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    if (arg == "--runs" && base::parse_number(value, options.runs, 1)) {
+      ++i;
+    } else if (arg == "--seed" && base::parse_number(value, options.seed)) {
+      ++i;
     } else if (arg == "--smoke") {
       smoke = true;
       options.runs = 10000;  // the budget, not the count, ends the run
@@ -135,13 +121,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--inject-miscompile") {
       options.oracle.injection.enabled = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        const std::string spec = argv[++i];
+        const std::string_view spec = argv[++i];
         const auto comma = spec.find(',');
-        options.oracle.injection.lut_index = static_cast<int>(
-            parse_number("--inject-miscompile", spec.substr(0, comma)));
-        if (comma != std::string::npos)
-          options.oracle.injection.bit_index =
-              parse_number("--inject-miscompile", spec.substr(comma + 1));
+        fuzz::Injection& injection = options.oracle.injection;
+        if (!base::parse_number(spec.substr(0, comma), injection.lut_index,
+                                0) ||
+            (comma != std::string_view::npos &&
+             !base::parse_number(spec.substr(comma + 1),
+                                 injection.bit_index))) {
+          usage();
+          return 2;
+        }
       }
     } else if (arg == "--no-shrink") {
       options.shrink_failures = false;
