@@ -5,12 +5,10 @@
 // not pay off; driving each decision with the exact per-tree DP makes
 // it a (modest) net win.
 #include <cstdio>
-#include <string>
 
 #include "chortle/mapper.hpp"
-#include "mcnc/generators.hpp"
-#include "opt/script.hpp"
 #include "sim/simulate.hpp"
+#include "sweep.hpp"
 
 using namespace chortle;
 
@@ -24,18 +22,18 @@ int main() {
   long base_total[6] = {0};
   long dup_total[6] = {0};
   int failures = 0;
-  for (const std::string& name : mcnc::benchmark_names()) {
-    const sop::SopNetwork source = mcnc::generate(name);
-    const opt::OptimizedDesign design = opt::optimize(source);
-    std::printf("%-8s", name.c_str());
+  bench::for_each_circuit({}, [&](const bench::Circuit& circuit) {
+    std::printf("%-8s", circuit.name.c_str());
     for (int k = 3; k <= 5; ++k) {
       core::Options base;
       base.k = k;
       core::Options dup = base;
       dup.duplicate_fanout_logic = true;
-      const core::MapResult without = core::map_network(design.network, base);
-      const core::MapResult with = core::map_network(design.network, dup);
-      if (!sim::equivalent(sim::design_of(source),
+      const core::MapResult without =
+          core::map_network(circuit.design.network, base);
+      const core::MapResult with =
+          core::map_network(circuit.design.network, dup);
+      if (!sim::equivalent(sim::design_of(circuit.source),
                            sim::design_of(with.circuit)))
         ++failures;
       base_total[k] += without.stats.num_luts;
@@ -46,7 +44,7 @@ int main() {
                       static_cast<double>(without.stats.num_luts));
     }
     std::printf("\n");
-  }
+  });
   std::printf("%-8s", "total");
   for (int k = 3; k <= 5; ++k)
     std::printf("  %8ld  %7ld  %7s %4.1f%%", base_total[k], dup_total[k], "",

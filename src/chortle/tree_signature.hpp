@@ -18,11 +18,10 @@
 // full-fidelity key string: cache lookups compare entire keys, so a
 // hash collision can never alias two different trees.
 //
-// The key deliberately excludes anything about the kernel
-// implementation: the bit-parallel and scalar truth-table paths
-// produce byte-identical mappings (golden suite, both builds), so the
-// same signature is correct for both and cached entries survive
-// kernel changes that preserve the emitted BLIF.
+// The key deliberately excludes anything about the truth-table kernel
+// implementation: a kernel change that keeps the emitted BLIF
+// byte-identical (the golden suite pins it) leaves every cached entry
+// valid.
 #pragma once
 
 #include <string>

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/check.hpp"
+#include "base/parse.hpp"
 #include "blif/blif.hpp"
 
 namespace chortle::fuzz {
@@ -20,10 +22,25 @@ std::vector<std::string> split(const std::string& text, char separator) {
   return parts;
 }
 
-Backend backend_from_name(const std::string& name) {
-  for (Backend backend : all_backends())
-    if (name == to_string(backend)) return backend;
-  throw InvalidInput("unknown fuzz backend '" + name + "'");
+const core::IMapper* mapper_from_name(const std::string& name) {
+  portfolio::ensure_registered();
+  const core::IMapper* mapper = core::find_mapper(name);
+  if (mapper == nullptr)
+    throw InvalidInput("reproducer names unknown mapper '" + name +
+                       "' (known: " + core::mapper_names() + ")");
+  return mapper;
+}
+
+/// The whole of `text` as a T in [lo, hi]; InvalidInput otherwise.
+template <typename T>
+T number_of(const std::string& key, const std::string& text,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T value{};
+  if (!base::parse_number(text, value, lo, hi))
+    throw InvalidInput("reproducer value " + key + "=" + text +
+                       " is not a number in range");
+  return value;
 }
 
 /// "k=4 split=10 ..." -> key/value pairs.
@@ -48,7 +65,7 @@ std::string encode_entry(const CorpusEntry& entry) {
   os << "# expect: " << (entry.expect_failure ? "fail" : "pass") << "\n";
   os << "# backends: ";
   for (std::size_t i = 0; i < entry.fuzz_case.backends.size(); ++i)
-    os << (i > 0 ? "," : "") << to_string(entry.fuzz_case.backends[i]);
+    os << (i > 0 ? "," : "") << entry.fuzz_case.backends[i]->name();
   os << "\n";
   os << "# options: k=" << o.k << " split=" << o.split_threshold
      << " search=" << (o.search_decompositions ? 1 : 0)
@@ -83,25 +100,32 @@ CorpusEntry decode_entry(const std::string& text, const std::string& name) {
     } else if (key == "backends") {
       entry.fuzz_case.backends.clear();
       for (const std::string& backend_name : split(value, ','))
-        entry.fuzz_case.backends.push_back(backend_from_name(backend_name));
+        entry.fuzz_case.backends.push_back(mapper_from_name(backend_name));
     } else if (key == "options") {
       core::Options& o = entry.fuzz_case.options;
       for (const auto& [option, text_value] : parse_assignments(value)) {
-        const int number = std::stoi(text_value);
-        if (option == "k") o.k = number;
-        else if (option == "split") o.split_threshold = number;
-        else if (option == "search") o.search_decompositions = number != 0;
-        else if (option == "dup") o.duplicate_fanout_logic = number != 0;
-        else if (option == "dup_gates") o.duplication_max_gates = number;
-        else if (option == "dup_readers") o.duplication_max_readers = number;
+        const auto number = [&](int lo = std::numeric_limits<int>::min(),
+                                int hi = std::numeric_limits<int>::max()) {
+          return number_of<int>(option, text_value, lo, hi);
+        };
+        if (option == "k") o.k = number();
+        else if (option == "split") o.split_threshold = number();
+        else if (option == "search") o.search_decompositions = number(0, 1);
+        else if (option == "dup") o.duplicate_fanout_logic = number(0, 1);
+        else if (option == "dup_gates") o.duplication_max_gates = number();
+        else if (option == "dup_readers") o.duplication_max_readers = number();
+        else throw InvalidInput("unknown reproducer option '" + option + "'");
       }
     } else if (key == "inject") {
       entry.injection.enabled = true;
       for (const auto& [option, text_value] : parse_assignments(value)) {
         if (option == "lut")
-          entry.injection.lut_index = std::stoi(text_value);
+          entry.injection.lut_index = number_of<int>(option, text_value, 0);
         else if (option == "bit")
-          entry.injection.bit_index = std::stoull(text_value);
+          entry.injection.bit_index =
+              number_of<std::uint64_t>(option, text_value);
+        else throw InvalidInput("unknown reproducer inject key '" + option +
+                                "'");
       }
     } else if (key == "note") {
       entry.note = value;

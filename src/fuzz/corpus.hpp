@@ -25,8 +25,10 @@ struct CorpusEntry {
 /// Serializes an entry to its on-disk form (metadata header + BLIF).
 std::string encode_entry(const CorpusEntry& entry);
 
-/// Parses the on-disk form. Unknown header keys are ignored so the
-/// format can grow. Throws InvalidInput on malformed content.
+/// Parses the on-disk form. Unknown header lines are ignored so the
+/// format can grow, but every `options:`/`inject:` key must be known and
+/// every value wholly a number in range, and every `backends:` name must
+/// be a registered mapper. Throws InvalidInput on malformed content.
 CorpusEntry decode_entry(const std::string& text, const std::string& name);
 
 /// Writes `entry` into `directory` (created if missing) as

@@ -9,20 +9,20 @@
 #include <string>
 #include <vector>
 
+#include "chortle/imapper.hpp"
 #include "chortle/options.hpp"
+#include "portfolio/portfolio.hpp"
 #include "sop/sop_network.hpp"
 
 namespace chortle::fuzz {
 
-/// The mapping backends the oracle cross-checks. kPortfolio races the
-/// other four (src/portfolio) and is additionally held to the
-/// never-worse-than-chortle objective guarantee.
-enum class Backend { kChortle, kFlowMap, kLibMap, kCutMap, kPortfolio };
-
-const char* to_string(Backend backend);
-
-/// All backends, in canonical order.
-std::vector<Backend> all_backends();
+/// The backends a case is cross-checked under by default: every mapper
+/// in core's registry (src/chortle/imapper.hpp), in registry order, the
+/// portfolio racer included.
+inline std::vector<const core::IMapper*> registered_mappers() {
+  portfolio::ensure_registered();
+  return core::all_mappers();
+}
 
 /// A deterministic fault injected into the Chortle backend's mapped
 /// circuit before verification: one flipped LUT truth-table bit. This
@@ -37,7 +37,7 @@ struct Injection {
 struct FuzzCase {
   sop::SopNetwork network;
   core::Options options;           // mapper options, incl. K
-  std::vector<Backend> backends = all_backends();
+  std::vector<const core::IMapper*> backends = registered_mappers();
   std::string description;         // parameter summary for reports
 };
 

@@ -23,8 +23,8 @@ struct FuzzOptions {
   /// Stop starting new runs after this many seconds (0 = no budget).
   double time_budget_seconds = 0.0;
   /// Backends every sampled case is cross-checked under (the
-  /// fuzz_mapper --mapper flag narrows this to a single backend).
-  std::vector<Backend> backends = all_backends();
+  /// fuzz_mapper --mapper flag narrows this to the named mappers).
+  std::vector<const core::IMapper*> backends = registered_mappers();
   /// Generator sizing (smoke runs use small cases).
   GeneratorOptions generator;
   /// Forwarded to every oracle call (carries the fault injection).

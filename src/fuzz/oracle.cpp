@@ -6,14 +6,8 @@
 #include "bdd/equiv.hpp"
 #include "chortle/forest.hpp"
 #include "chortle/mapper.hpp"
-#include "cutmap/cutmap.hpp"
-#include "flowmap/flowmap.hpp"
-#include "libmap/library.hpp"
-#include "libmap/matcher.hpp"
-#include "libmap/subject.hpp"
 #include "obs/metrics.hpp"
 #include "opt/script.hpp"
-#include "portfolio/portfolio.hpp"
 #include "sim/simulate.hpp"
 
 namespace chortle::fuzz {
@@ -86,13 +80,13 @@ class OracleRun {
       return verdict_;
     }
 
-    for (Backend backend : case_.backends) {
+    for (const core::IMapper* mapper : case_.backends) {
       ++verdict_.backends_run;
       OBS_COUNT("fuzz.backend_runs", 1);
       try {
-        run_backend(backend, design.network);
+        run_backend(*mapper, design.network);
       } catch (const std::exception& error) {
-        fail(to_string(backend), "exception", error.what());
+        fail(mapper->name(), "exception", error.what());
       }
     }
     return verdict_;
@@ -216,83 +210,45 @@ class OracleRun {
     check_bdd_against_source(stage, circuit);
   }
 
-  void run_backend(Backend backend, const net::Network& mapper_input) {
-    switch (backend) {
-      case Backend::kChortle: {
-        const core::MapResult result =
-            core::map_network(mapper_input, case_.options);
-        net::LutCircuit circuit = result.circuit;
-        if (options_.injection.enabled)
-          circuit = with_injected_fault(circuit, options_.injection);
-        check_circuit("chortle", circuit, result.stats.num_luts);
-        // Cost-driven duplication (§5) only ever accepts a replication
-        // that the exact tree DP proves profitable, so enabling it can
-        // never increase the LUT count.
-        if (case_.options.duplicate_fanout_logic &&
-            !options_.injection.enabled) {
-          core::Options plain = case_.options;
-          plain.duplicate_fanout_logic = false;
-          const core::MapResult without =
-              core::map_network(mapper_input, plain);
-          if (result.stats.num_luts > without.stats.num_luts) {
-            std::ostringstream os;
-            os << "duplication increased LUT count: "
-               << result.stats.num_luts << " > " << without.stats.num_luts;
-            fail("chortle", "lut-count", os.str());
-          }
-        }
-        break;
+  /// Maps through the registry facade and holds the cover to the full
+  /// battery, plus the guarantees that belong to one mapper by name.
+  void run_backend(const core::IMapper& mapper,
+                   const net::Network& mapper_input) {
+    const std::string stage = mapper.name();
+    const bool chortle = stage == "chortle";
+    core::MapResult result = mapper.map(mapper_input, case_.options);
+    if (chortle && options_.injection.enabled)
+      result.circuit = with_injected_fault(result.circuit, options_.injection);
+    check_circuit(stage, result.circuit, result.stats.num_luts);
+
+    if (chortle && case_.options.duplicate_fanout_logic &&
+        !options_.injection.enabled) {
+      // Cost-driven duplication (§5) only ever accepts a replication
+      // that the exact tree DP proves profitable, so enabling it can
+      // never increase the LUT count.
+      core::Options plain = case_.options;
+      plain.duplicate_fanout_logic = false;
+      const core::MapResult without = mapper.map(mapper_input, plain);
+      if (result.stats.num_luts > without.stats.num_luts) {
+        std::ostringstream os;
+        os << "duplication increased LUT count: " << result.stats.num_luts
+           << " > " << without.stats.num_luts;
+        fail(stage, "lut-count", os.str());
       }
-      case Backend::kFlowMap: {
-        const net::Network subject =
-            libmap::build_subject_graph(mapper_input);
-        const flowmap::FlowMapResult result =
-            flowmap::flowmap(subject, case_.options.k);
-        check_circuit("flowmap", result.circuit, result.stats.num_luts);
-        break;
-      }
-      case Backend::kLibMap: {
-        const libmap::BaselineResult result = libmap::map_with_library(
-            mapper_input, libmap::library_for(case_.options.k));
-        check_circuit("libmap", result.circuit, result.stats.num_luts);
-        break;
-      }
-      case Backend::kCutMap: {
-        const net::Network subject =
-            libmap::build_subject_graph(mapper_input);
-        cutmap::CutMapOptions cut_options;
-        cut_options.k = case_.options.k;
-        const cutmap::CutMapResult result =
-            cutmap::map_luts(subject, cut_options);
-        check_circuit("cutmap", result.circuit, result.stats.num_luts);
-        break;
-      }
-      case Backend::kPortfolio: {
-        // Race every backend with no budget (all racers run to
-        // completion — the case stays deterministic) and hold the
-        // winner to the oracle's full battery plus the portfolio's own
-        // guarantee: under the LUT objective the stitched/raced cover
-        // is never worse than plain chortle, because chortle is the
-        // fallback and ties break toward it.
-        portfolio::PortfolioConfig race =
-            portfolio::default_portfolio().config();
-        race.budget_ms = -1;
-        const core::MapResult result = portfolio::default_portfolio()
-                                           .map_with(mapper_input,
-                                                     case_.options, race,
-                                                     nullptr);
-        check_circuit("portfolio", result.circuit, result.stats.num_luts);
-        const core::MapResult plain =
-            core::map_network(mapper_input, case_.options);
-        if (result.stats.num_luts > plain.stats.num_luts) {
-          std::ostringstream os;
-          os << "portfolio (winner " << result.stats.portfolio_winner
-             << ") used " << result.stats.num_luts
-             << " LUTs, worse than plain chortle's "
-             << plain.stats.num_luts;
-          fail("portfolio", "lut-count", os.str());
-        }
-        break;
+    }
+    if (stage == "portfolio") {
+      // Under the LUT objective the raced/stitched cover is never worse
+      // than plain chortle, because chortle is the fallback and ties
+      // break toward it. The default race has no budget, so every racer
+      // runs to completion and the case stays deterministic.
+      const core::MapResult plain =
+          core::map_network(mapper_input, case_.options);
+      if (result.stats.num_luts > plain.stats.num_luts) {
+        std::ostringstream os;
+        os << "portfolio (winner " << result.stats.portfolio_winner
+           << ") used " << result.stats.num_luts
+           << " LUTs, worse than plain chortle's " << plain.stats.num_luts;
+        fail(stage, "lut-count", os.str());
       }
     }
   }

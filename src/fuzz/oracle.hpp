@@ -1,12 +1,12 @@
 // The differential oracle: runs one fuzz case through the full pipeline
-// (optimization script, then every requested mapping backend) and
-// cross-checks each stage against the source network — bit-parallel
-// simulation always, BDD equivalence when the input count permits —
-// plus the structural invariants every mapped circuit must satisfy
-// (LUT fanins within K, acyclic circuit, fanout-free forest trees,
-// reported LUT count matching the circuit). Any violation becomes a
-// Failure; the shrinker and the corpus replay test both drive cases
-// through this single entry point.
+// (optimization script, then every requested backend through
+// core::IMapper::map) and cross-checks each stage against the source
+// network — bit-parallel simulation always, BDD equivalence when the
+// input count permits — plus the structural invariants every mapped
+// circuit must satisfy (LUT fanins within K, acyclic circuit,
+// fanout-free forest trees, reported LUT count matching the circuit).
+// Any violation becomes a Failure; the shrinker and the corpus replay
+// test both drive cases through this single entry point.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,8 @@ struct OracleOptions {
 };
 
 /// One detected violation. `stage` names the pipeline stage that
-/// produced it ("optimize", "forest", "chortle", "flowmap", "libmap");
+/// produced it: "case", "optimize", "forest", or the backend mapper's
+/// name() ("chortle", "libmap", "flowmap", "cutmap", "portfolio", ...);
 /// `kind` is a stable category ("sim-mismatch", "bdd-different",
 /// "structure", "lut-count", "exception"); `detail` is human-readable.
 struct Failure {

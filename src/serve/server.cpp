@@ -556,8 +556,6 @@ Server::Server(ServerConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_bytes),
       report_("chortle_serve"),
-      latency_histogram_(obs::Registry::global().histogram(
-          "serve.request.seconds", obs::Registry::latency_bounds())),
       stage_queue_wait_(
           obs::Registry::global().hdr("serve.stage.queue_wait")),
       stage_parse_(obs::Registry::global().hdr("serve.stage.parse")),
@@ -892,7 +890,6 @@ MapResponse Server::process_request(const Frame& frame,
 }
 
 void Server::record_request(const MapResponse& response) {
-  obs::Registry::global().observe(latency_histogram_, response.seconds);
   obs::Registry::global().observe(stage_request_, response.seconds);
   OBS_COUNT("serve.requests", 1);
   {

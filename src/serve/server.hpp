@@ -213,7 +213,6 @@ class Server {
 
   std::mutex report_mu_;
   obs::RunReport report_;
-  obs::MetricId latency_histogram_;
   // Per-stage HDR latency histograms (p50/p90/p99/p999 in STATS).
   obs::MetricId stage_queue_wait_;
   obs::MetricId stage_parse_;

@@ -75,8 +75,9 @@ TEST_P(ForestProperty, PartitionInvariants) {
   }
   // Output nodes are tree roots.
   for (const net::Output& o : n.outputs())
-    if (!o.is_const && !n.is_input(o.node))
+    if (!o.is_const && !n.is_input(o.node)) {
       EXPECT_TRUE(forest.is_root[static_cast<std::size_t>(o.node)]);
+    }
   // Gates come fanins-first within each tree.
   for (const Tree& tree : forest.trees) {
     std::vector<bool> seen(static_cast<std::size_t>(n.num_nodes()), false);
@@ -116,8 +117,9 @@ TEST(WorkTree, LeavesAndStructure) {
   std::vector<bool> done(work.nodes.size(), false);
   for (int idx : order) {
     for (const WorkChild& child : work.node(idx).children)
-      if (!child.is_leaf)
+      if (!child.is_leaf) {
         EXPECT_TRUE(done[static_cast<std::size_t>(child.node)]);
+      }
     done[static_cast<std::size_t>(idx)] = true;
   }
 }

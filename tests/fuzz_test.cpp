@@ -5,7 +5,9 @@
 #include <set>
 #include <sstream>
 
+#include "base/check.hpp"
 #include "base/rng.hpp"
+#include "chortle/imapper.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/generator.hpp"
@@ -91,6 +93,58 @@ TEST(FuzzOracle, AcceptsDegenerateNetworks) {
   }
 }
 
+TEST(FuzzOracle, DefaultsToEveryRegisteredMapper) {
+  const FuzzCase fuzz_case;
+  EXPECT_EQ(fuzz_case.backends, core::all_mappers());
+  EXPECT_EQ(FuzzOptions{}.backends, core::all_mappers());
+  EXPECT_NE(core::find_mapper("portfolio"), nullptr);
+}
+
+/// An unregistered backend that maps with Chortle, then flips the first
+/// truth-table bit of its first LUT: the oracle must catch it by name.
+class BitFlipMapper final : public core::IMapper {
+ public:
+  const char* name() const override { return "bitflip-stub"; }
+  int min_k() const override { return 2; }
+  int max_k() const override { return 6; }
+  core::MapResult map(const net::Network& network,
+                      const core::Options& options) const override {
+    core::MapResult result = core::map_network(network, options);
+    const net::LutCircuit& in = result.circuit;
+    net::LutCircuit out(in.k());
+    for (const std::string& name : in.input_names()) out.add_input(name);
+    for (net::Lut lut : in.luts()) {
+      if (out.num_luts() == 0) lut.function.set_bit(0, !lut.function.bit(0));
+      out.add_lut(std::move(lut));
+    }
+    for (const net::LutOutput& o : in.outputs()) {
+      if (o.is_const)
+        out.add_const_output(o.name, o.const_value);
+      else
+        out.add_output(o.name, o.signal, o.negated);
+    }
+    result.circuit = std::move(out);
+    return result;
+  }
+};
+
+TEST(FuzzOracle, ChecksAnUnregisteredMapperUnderItsOwnName) {
+  const BitFlipMapper stub;
+  ASSERT_EQ(core::find_mapper(stub.name()), nullptr);
+  int caught = 0;
+  Rng rng(99);
+  for (int i = 0; i < 10; ++i) {
+    FuzzCase fuzz_case = sample_case(rng);
+    fuzz_case.backends = {&stub};
+    const Verdict verdict = check_case(fuzz_case);
+    EXPECT_EQ(verdict.backends_run, 1);
+    if (!verdict.ok()) ++caught;
+    for (const Failure& failure : verdict.failures)
+      EXPECT_EQ(failure.stage, "bitflip-stub") << verdict.summary();
+  }
+  EXPECT_GE(caught, 5) << "the flipped bit was almost never caught";
+}
+
 TEST(FuzzOracle, CatchesAnInjectedMiscompile) {
   // Find a case whose Chortle circuit has at least one LUT, inject a
   // single flipped truth-table bit, and the oracle must object.
@@ -143,7 +197,8 @@ TEST(FuzzCorpus, EncodeDecodeRoundTrips) {
   CorpusEntry entry;
   entry.name = "round_trip";
   entry.fuzz_case = sample_case(rng);
-  entry.fuzz_case.backends = {Backend::kChortle, Backend::kLibMap};
+  entry.fuzz_case.backends = {core::find_mapper("chortle"),
+                              core::find_mapper("libmap")};
   entry.injection.enabled = true;
   entry.injection.lut_index = 3;
   entry.injection.bit_index = 7;
@@ -168,6 +223,41 @@ TEST(FuzzCorpus, EncodeDecodeRoundTrips) {
   EXPECT_EQ(reread.injection.bit_index, 7u);
   EXPECT_TRUE(sim::equivalent(sim::design_of(entry.fuzz_case.network),
                               sim::design_of(reread.fuzz_case.network)));
+}
+
+// A reproducer with one header line; the BLIF body is a 2-input AND.
+std::string reproducer(const std::string& header) {
+  return "# chortle-fuzz reproducer v1\n" + header +
+         "\n.model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n"
+         ".end\n";
+}
+
+TEST(FuzzCorpus, DecodesValuesStrictly) {
+  EXPECT_EQ(decode_entry(reproducer("# options: k=5 split=7"), "ok")
+                .fuzz_case.options.k,
+            5);
+  for (const char* header :
+       {"# options: k=4x", "# options: kk=3", "# options: split=1O",
+        "# options: search=2", "# inject: lut=-1", "# inject: bits=3"}) {
+    EXPECT_THROW(decode_entry(reproducer(header), "bad"), InvalidInput)
+        << header;
+  }
+}
+
+TEST(FuzzCorpus, UnknownMapperListsTheRegistry) {
+  const CorpusEntry entry =
+      decode_entry(reproducer("# backends: portfolio,cutmap"), "ok");
+  ASSERT_EQ(entry.fuzz_case.backends.size(), 2u);
+  EXPECT_STREQ(entry.fuzz_case.backends[0]->name(), "portfolio");
+  try {
+    decode_entry(reproducer("# backends: chortle,nope"), "bad");
+    FAIL() << "an unknown mapper name was accepted";
+  } catch (const InvalidInput& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("'nope'"), std::string::npos) << message;
+    EXPECT_NE(message.find(core::mapper_names()), std::string::npos)
+        << message;
+  }
 }
 
 TEST(FuzzEndToEnd, InjectedMiscompileIsShrunkWrittenAndReplaysRed) {

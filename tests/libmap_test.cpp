@@ -231,9 +231,10 @@ TEST(BaselineMapper, ReconvergentModeVerifiesOnRandomDags) {
       // so it is never worse. (With an incomplete library neither mode
       // dominates: a merged cut's function can fall outside the
       // library while the structural pin-duplicated one stays inside.)
-      if (lib.is_complete())
+      if (lib.is_complete()) {
         EXPECT_LE(strong.stats.num_luts, structural.stats.num_luts)
             << "seed=" << seed << " k=" << k;
+      }
     }
   }
 }

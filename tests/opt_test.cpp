@@ -254,8 +254,12 @@ TEST(Decompose, HandlesWiresConstantsAndNegatedOutputs) {
       EXPECT_FALSE(o.is_const);
       EXPECT_TRUE(o.negated);
     }
-    if (o.name == "z") EXPECT_TRUE(o.is_const && o.const_value);
-    if (o.name == "w") EXPECT_TRUE(o.is_const && !o.const_value);
+    if (o.name == "z") {
+      EXPECT_TRUE(o.is_const && o.const_value);
+    }
+    if (o.name == "w") {
+      EXPECT_TRUE(o.is_const && !o.const_value);
+    }
   }
   EXPECT_TRUE(found_y);
 }

@@ -1,18 +1,20 @@
 // fuzz_mapper: the differential fuzzing harness for the whole mapping
 // pipeline. Samples random networks across the generator parameter
-// space, runs each through optimize -> chortle / flowmap / libmap, and
-// cross-checks every result against the source by simulation (and BDD
-// equivalence when small enough) plus structural invariants. Any
-// failure is shrunk to a minimal counterexample and written into the
-// corpus directory as a replayable BLIF reproducer.
+// space, runs each through optimize and then every registered mapper
+// (chortle, libmap, flowmap, cutmap, portfolio), and cross-checks every
+// result against the source by simulation (and BDD equivalence when
+// small enough) plus structural invariants. Any failure is shrunk to a
+// minimal counterexample and written into the corpus directory as a
+// replayable BLIF reproducer.
 //
 //   fuzz_mapper [--runs N] [--seed S] [--smoke] [--kernels] [--corpus DIR]
 //               [--mapper NAME[,NAME...]] [--inject-miscompile [LUT,BIT]]
 //               [--no-shrink] [--quiet] [--stats-out FILE]
 //               [--trace-out FILE]
 //
-//   --mapper NAMES        restrict the oracle to these backends
-//                         (chortle,flowmap,libmap,cutmap; default all)
+//   --mapper NAMES        restrict the oracle to these registered
+//                         mappers (chortle,libmap,flowmap,cutmap,
+//                         portfolio; default all)
 //   --smoke               ~30-second CI mode: small cases, time budget
 //   --kernels             kernel-equivalence mode: cross-check the
 //                         bit-parallel truth::PackedTable ops against
@@ -50,30 +52,26 @@ void usage() {
                "[--stats-out FILE] [--trace-out FILE]\n");
 }
 
-/// Parses a comma-separated backend list ("cutmap" or
-/// "chortle,flowmap") against the oracle's backend names.
-std::vector<chortle::fuzz::Backend> parse_backends(const std::string& text) {
-  std::vector<chortle::fuzz::Backend> backends;
+/// Parses a comma-separated mapper list ("cutmap" or "chortle,flowmap")
+/// against core's mapper registry; an unknown name exits 2.
+std::vector<const chortle::core::IMapper*> parse_backends(
+    const std::string& text) {
+  chortle::portfolio::ensure_registered();
+  std::vector<const chortle::core::IMapper*> backends;
   std::size_t start = 0;
   while (start <= text.size()) {
     const std::size_t comma = text.find(',', start);
     const std::string name =
         text.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    bool found = false;
-    for (chortle::fuzz::Backend backend : chortle::fuzz::all_backends()) {
-      if (name == chortle::fuzz::to_string(backend)) {
-        backends.push_back(backend);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "fuzz_mapper: unknown mapper '%s'\n",
-                   name.c_str());
+    const chortle::core::IMapper* mapper = chortle::core::find_mapper(name);
+    if (mapper == nullptr) {
+      std::fprintf(stderr, "fuzz_mapper: unknown mapper '%s' (known: %s)\n",
+                   name.c_str(), chortle::core::mapper_names().c_str());
       usage();
       std::exit(2);
     }
+    backends.push_back(mapper);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -178,9 +176,9 @@ int main(int argc, char** argv) {
   run_report.set_option("shrink", options.shrink_failures);
   {
     std::string mappers;
-    for (fuzz::Backend backend : options.backends) {
+    for (const core::IMapper* mapper : options.backends) {
       if (!mappers.empty()) mappers += ',';
-      mappers += fuzz::to_string(backend);
+      mappers += mapper->name();
     }
     run_report.set_option("mappers", mappers);
   }
